@@ -227,13 +227,15 @@ class Harness {
     return scope_.context();
   }
 
-  /// SweepSpec pre-filled with this run's --jobs/--replicas and the
-  /// per-point artifact directory (--telemetry-dir); add points and go.
-  core::SweepSpec sweep_spec() const {
+  /// SweepSpec pre-filled with this run's --jobs/--replicas, the
+  /// per-point artifact directory (--telemetry-dir) and, for a sequential
+  /// run, the single --telemetry-out context; add points and go.
+  core::SweepSpec sweep_spec() {
     core::SweepSpec spec;
     spec.jobs = jobs_;
     spec.replicas = replicas_;
     spec.telemetry_dir = telemetry_dir_;
+    spec.telemetry = telemetry();
     return spec;
   }
 

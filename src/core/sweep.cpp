@@ -123,8 +123,9 @@ std::vector<PointOutcome> run_sweep(const SweepSpec& spec, const SweepFn& fn) {
     task.point = &spec.points[p];
     task.config = spec.points[p].config;
     task.config.seed = derive_seed(task.config.seed, r);
-    task.config.telemetry =
-        (collect_telemetry && r == 0) ? &contexts[p] : nullptr;
+    task.config.telemetry = (collect_telemetry && r == 0) ? &contexts[p]
+                            : spec.jobs <= 1                ? spec.telemetry
+                                                            : nullptr;
     outcomes[p].replicas[r] = fn(task);
   });
 

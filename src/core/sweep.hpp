@@ -55,6 +55,11 @@ struct SweepSpec {
   /// When non-empty, the runner writes one telemetry artifact per point
   /// (replica 0) to `<telemetry_dir>/<label>.trace.json`.
   std::string telemetry_dir;
+  /// One caller-owned context that every world of a sequential sweep
+  /// (jobs == 1) records into, for a single combined artifact.  Ignored
+  /// when jobs > 1 (a context serves one world at a time) and for the
+  /// worlds telemetry_dir already covers.
+  telemetry::Telemetry* telemetry = nullptr;
 };
 
 /// What one replica run hands back: named metric values, in a stable
@@ -66,7 +71,8 @@ struct SweepTask {
   std::size_t point_index = 0;
   std::size_t replica = 0;
   /// The point's config with the replica seed already derived and, for
-  /// replica 0 of a telemetry-collecting sweep, the telemetry context
+  /// replica 0 of a telemetry-collecting sweep (or every world of a
+  /// sequential sweep with a shared context), the telemetry context
   /// attached.
   ExperimentConfig config;
   const SweepPoint* point = nullptr;

@@ -134,7 +134,14 @@ void ClientPopulation::finish_request(std::uint64_t session_id, SimTime latency,
   const SimTime think = std::max<SimTime>(
       from_seconds(rng_.exponential(to_seconds(config_.think_time_mean))), 1);
   engine_.schedule_after(think, [this, session_id] {
-    if (sessions_.count(session_id)) next_request(session_id);
+    if (!sessions_.count(session_id)) return;
+    // No request starts after the horizon (see start()): a think time
+    // that runs past it ends the session instead.
+    if (engine_.now() >= horizon_) {
+      sessions_.erase(session_id);
+      return;
+    }
+    next_request(session_id);
   });
 }
 

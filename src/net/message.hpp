@@ -26,8 +26,11 @@ inline constexpr MessageType kDynamicTypeBase = 100;
 
 struct Message {
   MessageType type = 0;
-  std::uint64_t id = 0;      ///< unique per send, assigned by the network
   NodeId src = kNoNode;
+  std::uint64_t id = 0;      ///< unique per send, assigned by the network
+  /// Per-channel sequence number stamped by the reliable transport
+  /// (net/transport.hpp); raw Network::send traffic leaves it 0.
+  std::uint64_t seq = 0;
   std::size_t bytes = 256;   ///< serialized size driving the link model
   std::any payload;          ///< typed body, owned by the message
 

@@ -18,6 +18,12 @@ std::uint64_t channel_key(NodeId from, NodeId to, MessageType type) {
          static_cast<std::uint64_t>(static_cast<std::uint16_t>(type));
 }
 
+/// Fibonacci hashing: the top `bits` bits of the key times 2^64/phi,
+/// which every key bit reaches.
+std::size_t bucket_of(std::uint64_t key, int bits) {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+}
+
 }  // namespace
 
 SimTime worst_case_send_time(const TransportOptions& options,
@@ -33,14 +39,58 @@ SimTime worst_case_send_time(const TransportOptions& options,
          static_cast<SimTime>(backoff_sum);
 }
 
-struct ReliableTransport::PendingSend {
-  NodeId from = kNoNode;
-  NodeId to = kNoNode;
-  Message frame;
-  SimTime timeout = 0;
-  SendCallback on_complete;
-  int attempt = 0;  ///< attempts started (1 = the initial send)
-};
+DedupWindow::Verdict DedupWindow::admit(std::uint64_t seq, std::size_t capacity) {
+  // A seq above every admitted one cannot be remembered: skip the scan.
+  if (seq <= admitted_max_ && remembers(seq)) return Verdict::kDuplicate;
+  const bool wrapped = evicted_any_ && seq <= evicted_max_;
+  admitted_max_ = std::max(admitted_max_, seq);
+  if (ring_.size() < capacity) {
+    ring_.push_back(seq);
+  } else {
+    // Full (or capacity 0, which forgets a seq as soon as it is admitted):
+    // the new seq takes the oldest one's place.
+    std::uint64_t evicted = seq;
+    if (capacity > 0) {
+      evicted = ring_[head_];
+      ring_[head_] = seq;
+      if (++head_ == capacity) head_ = 0;
+    }
+    evicted_max_ = std::max(evicted_max_, evicted);
+    evicted_any_ = true;
+  }
+  return wrapped ? Verdict::kWrapped : Verdict::kDeliver;
+}
+
+bool DedupWindow::remembers(std::uint64_t seq) const {
+  return std::find(ring_.begin(), ring_.end(), seq) != ring_.end();
+}
+
+ReliableTransport::Channel& ReliableTransport::ChannelTable::get(std::uint64_t key) {
+  if ((channels_.size() + 1) * 2 > buckets_.size()) grow();
+  const std::size_t mask = buckets_.size() - 1;
+  for (std::size_t i = bucket_of(key, bits_);; i = (i + 1) & mask) {
+    Bucket& bucket = buckets_[i];
+    if (bucket.slot == kEmpty) {
+      bucket.key = key;
+      bucket.slot = static_cast<std::uint32_t>(channels_.size());
+      return channels_.emplace_back();
+    }
+    if (bucket.key == key) return channels_[bucket.slot];
+  }
+}
+
+void ReliableTransport::ChannelTable::grow() {
+  std::vector<Bucket> old = std::move(buckets_);
+  bits_ = old.empty() ? 4 : bits_ + 1;
+  buckets_.assign(std::size_t{1} << bits_, Bucket{});
+  const std::size_t mask = buckets_.size() - 1;
+  for (const Bucket& bucket : old) {
+    if (bucket.slot == kEmpty) continue;
+    std::size_t i = bucket_of(bucket.key, bits_);
+    while (buckets_[i].slot != kEmpty) i = (i + 1) & mask;
+    buckets_[i] = bucket;
+  }
+}
 
 ReliableTransport::ReliableTransport(Network& network, Rng rng,
                                      TransportOptions options, std::string name)
@@ -80,27 +130,33 @@ SimTime ReliableTransport::backoff_delay(int attempt) {
   return std::max<SimTime>(1, static_cast<SimTime>(rto));
 }
 
-void ReliableTransport::attempt(std::shared_ptr<PendingSend> pending) {
-  ++pending->attempt;
-  Message copy = pending->frame;
-  network_.send(pending->from, pending->to, std::move(copy), pending->timeout,
-                [this, pending](bool ok) {
-                  if (ok) {
-                    if (pending->on_complete) pending->on_complete(true);
-                    return;
-                  }
-                  if (pending->attempt > options_.max_retries) {
-                    ++permanent_failures_;
-                    if (failures_counter_) failures_counter_->inc();
-                    if (pending->on_complete) pending->on_complete(false);
-                    return;
-                  }
-                  ++retransmits_;
-                  if (retransmits_counter_) retransmits_counter_->inc();
-                  network_.engine().schedule_after(
-                      backoff_delay(pending->attempt),
-                      [this, pending] { attempt(pending); });
-                });
+void ReliableTransport::attempt(std::uint32_t pending) {
+  PendingSend& p = pending_[pending];
+  ++p.attempt;
+  network_.send(p.from, p.to, p.frame, p.timeout,
+                [this, pending](bool ok) { attempt_done(pending, ok); });
+}
+
+void ReliableTransport::attempt_done(std::uint32_t pending, bool ok) {
+  PendingSend& p = pending_[pending];
+  if (!ok && p.attempt <= options_.max_retries) {
+    ++retransmits_;
+    if (retransmits_counter_) retransmits_counter_->inc();
+    network_.engine().schedule_after(backoff_delay(p.attempt),
+                                     [this, pending] { attempt(pending); });
+    return;
+  }
+  if (!ok) {
+    ++permanent_failures_;
+    if (failures_counter_) failures_counter_->inc();
+  }
+  // Free the slot before the callback runs: it may send reentrantly,
+  // which can grow the pool or reuse this very slot.
+  SendCallback on_complete = std::move(p.on_complete);
+  p.on_complete = nullptr;
+  p.frame.payload.reset();
+  pending_.release(pending);
+  if (on_complete) on_complete(ok);
 }
 
 void ReliableTransport::send(NodeId from, NodeId to, Message msg,
@@ -108,37 +164,37 @@ void ReliableTransport::send(NodeId from, NodeId to, Message msg,
   ++sends_;
   if (sends_counter_) sends_counter_->inc();
 
-  const std::uint64_t key = channel_key(from, to, msg.type);
-  Envelope envelope;
-  envelope.seq = next_seq_[key]++;
-  envelope.inner = std::move(msg.payload);
+  msg.seq = channels_.get(channel_key(from, to, msg.type)).next_seq++;
+  msg.bytes += options_.header_bytes;
 
-  auto pending = std::make_shared<PendingSend>();
-  pending->from = from;
-  pending->to = to;
-  pending->frame = std::move(msg);
-  pending->frame.payload = std::move(envelope);
-  pending->frame.bytes += options_.header_bytes;
-  pending->timeout = timeout;
-  pending->on_complete = std::move(on_complete);
-  attempt(std::move(pending));
+  const std::uint32_t pending = pending_.acquire();
+  PendingSend& p = pending_[pending];
+  p.from = from;
+  p.to = to;
+  p.frame = std::move(msg);
+  p.timeout = timeout;
+  p.on_complete = std::move(on_complete);
+  p.attempt = 0;
+  attempt(pending);
 }
 
 void ReliableTransport::register_handler(NodeId node, MessageType type,
                                          Handler handler) {
   network_.register_handler(
       node, type, [this, node, type, handler = std::move(handler)](const Message& frame) {
-        const Envelope& envelope = frame.body<Envelope>();
-        const std::uint64_t key = channel_key(frame.src, node, type);
-        DedupWindow& window = windows_[key];
-        if (window.seen.count(envelope.seq)) {
+        // The channel reference dies here: the handler may send, which
+        // can grow the table.
+        const DedupWindow::Verdict verdict =
+            channels_.get(channel_key(frame.src, node, type))
+                .window.admit(frame.seq, options_.dedup_window);
+        if (verdict == DedupWindow::Verdict::kDuplicate) {
           // Retransmit after a lost ack, or a chaos duplicate: ack it
           // (the network already does) but do not re-process.
           ++duplicates_suppressed_;
           if (duplicates_counter_) duplicates_counter_->inc();
           return;
         }
-        if (window.evicted_any && envelope.seq <= window.evicted_max) {
+        if (verdict == DedupWindow::Verdict::kWrapped) {
           // The window has already forgotten sequence numbers this old:
           // if this frame is a late retransmit it will be re-processed.
           // Count the wrap (the guarantee boundary) but deliver -- the
@@ -146,17 +202,11 @@ void ReliableTransport::register_handler(NodeId node, MessageType type,
           ++dedup_window_wraps_;
           if (wraps_counter_) wraps_counter_->inc();
         }
-        window.seen.insert(envelope.seq);
-        window.order.push_back(envelope.seq);
-        if (window.order.size() > options_.dedup_window) {
-          const std::uint64_t evicted = window.order.front();
-          window.evicted_max = std::max(window.evicted_max, evicted);
-          window.evicted_any = true;
-          window.seen.erase(evicted);
-          window.order.pop_front();
+        if (options_.header_bytes == 0) {
+          handler(frame);
+          return;
         }
         Message inner = frame;
-        inner.payload = envelope.inner;
         if (inner.bytes >= options_.header_bytes) {
           inner.bytes -= options_.header_bytes;
         }

@@ -7,10 +7,11 @@
 // a usable contract for RM control traffic:
 //
 //   * sender side: every logical message carries a per-channel sequence
-//     number and is retransmitted on failure with exponential backoff +
-//     jitter, up to a retry cap; only after the cap is exhausted does the
-//     caller observe a permanent failure (so transient loss is absorbed,
-//     while a genuinely dead satellite still surfaces as one).
+//     number in its header (Message::seq) and is retransmitted on failure
+//     with exponential backoff + jitter, up to a retry cap; only after the
+//     cap is exhausted does the caller observe a permanent failure (so
+//     transient loss is absorbed, while a genuinely dead satellite still
+//     surfaces as one).
 //   * receiver side: handlers registered through the transport sit behind
 //     a bounded dedup window keyed by (sender, channel, seq), so a
 //     retransmit-after-lost-ack or a chaos-duplicated frame is acked but
@@ -25,14 +26,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/network.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -63,6 +61,39 @@ struct TransportOptions {
 SimTime worst_case_send_time(const TransportOptions& options,
                              SimTime per_attempt_timeout);
 
+/// Receiver-side memory of one channel: the last `capacity` distinct
+/// seqs admitted, in FIFO order, as a ring that grows up to `capacity`
+/// and then overwrites its oldest entry.  Membership is a scan of the
+/// ring, skipped whenever the seq exceeds every seq ever admitted --
+/// the in-order case, so a steady stream costs O(1) per frame.
+/// `evicted_max` is the highest seq ever evicted, so a late frame older
+/// than the window's memory is detectable (see
+/// ReliableTransport::dedup_window_wraps()).
+class DedupWindow {
+ public:
+  enum class Verdict : std::uint8_t {
+    kDeliver,    ///< first sight within the window: process it
+    kDuplicate,  ///< still remembered: ack but do not re-process
+    kWrapped,    ///< at or below an evicted seq: processed, boundary crossed
+  };
+
+  /// Classifies `seq` and, unless it is a duplicate, admits it (evicting
+  /// the oldest remembered seq once `capacity` are held).  `capacity`
+  /// must be the same on every call.
+  Verdict admit(std::uint64_t seq, std::size_t capacity);
+
+  std::size_t size() const { return ring_.size(); }
+
+ private:
+  bool remembers(std::uint64_t seq) const;
+
+  std::vector<std::uint64_t> ring_;  ///< FIFO; once full, head_ is the oldest
+  std::uint32_t head_ = 0;
+  bool evicted_any_ = false;
+  std::uint64_t admitted_max_ = 0;  ///< largest seq ever admitted
+  std::uint64_t evicted_max_ = 0;   ///< largest seq ever evicted
+};
+
 /// Reliable sender/receiver endpoint pair multiplexed over one Network.
 /// One instance serves many (from, to, type) channels; subsystems
 /// typically own one transport and route all their control traffic
@@ -89,9 +120,11 @@ class ReliableTransport {
             SendCallback on_complete = {});
 
   /// Registers `handler` for `type` on `node`, behind the dedup window.
-  /// Frames arriving through this transport are unwrapped, deduplicated
-  /// and handed to the handler with the original payload (msg.src / type
-  /// preserved; msg.id is the network id of the delivering frame).
+  /// Frames arriving through this transport are deduplicated on their
+  /// (msg.src, node, type) channel by msg.seq and handed to the handler
+  /// with the caller's payload (msg.src / type preserved; msg.id is the
+  /// network id of the delivering frame).  A raw Network::send frame on
+  /// the same type counts as seq 0 of its channel.
   void register_handler(NodeId node, MessageType type, Handler handler);
   void unregister_handler(NodeId node, MessageType type);
 
@@ -108,31 +141,53 @@ class ReliableTransport {
   /// this counter makes the boundary observable instead of silent.
   std::uint64_t dedup_window_wraps() const { return dedup_window_wraps_; }
 
-  /// Reliability header: the logical sequence number on its channel.
-  /// `channel` disambiguates (from, type) streams at one receiver; the
-  /// sender id comes from msg.src.  Public so tests can forge delayed
-  /// frames when provoking dedup-window wrap.
-  struct Envelope {
-    std::uint64_t seq = 0;
-    std::any inner;  ///< the caller's original payload
-  };
+  /// Distinct (from, to, type) channels seen by either end.
+  std::size_t channels() const { return channels_.size(); }
 
  private:
-  /// Bounded remembered-seq set per (receiver, sender, type): O(1)
-  /// membership plus FIFO eviction once `dedup_window` entries exist.
-  /// `evicted_max` tracks the highest seq ever evicted, so a late frame
-  /// older than the window's memory is detectable (see
-  /// dedup_window_wraps()).
-  struct DedupWindow {
-    std::unordered_set<std::uint64_t> seen;
-    std::deque<std::uint64_t> order;
-    std::uint64_t evicted_max = 0;
-    bool evicted_any = false;
+  /// Both ends of a channel: the sender's next seq and the receiver's
+  /// window.  One record serves both, since the sender's (from, to,
+  /// type) and the receiver's (src, self, type) name the same channel.
+  struct Channel {
+    std::uint64_t next_seq = 0;
+    DedupWindow window;
   };
 
-  struct PendingSend;
+  /// Open-addressing (linear probing) index from a packed channel key to
+  /// a dense Channel slot.  Channels are never removed.  References into
+  /// it are invalidated by the next insert, so callers finish with a
+  /// Channel before running code that may send.
+  class ChannelTable {
+   public:
+    Channel& get(std::uint64_t key);
+    std::size_t size() const { return channels_.size(); }
 
-  void attempt(std::shared_ptr<PendingSend> pending);
+   private:
+    struct Bucket {
+      std::uint64_t key = 0;
+      std::uint32_t slot = kEmpty;
+    };
+    static constexpr std::uint32_t kEmpty = UINT32_MAX;
+
+    void grow();
+
+    std::vector<Bucket> buckets_;  ///< 2^bits_ buckets, at most half full
+    int bits_ = 0;
+    std::vector<Channel> channels_;
+  };
+
+  /// One logical send across its attempts.
+  struct PendingSend {
+    NodeId from = kNoNode;
+    NodeId to = kNoNode;
+    Message frame;
+    SimTime timeout = 0;
+    SendCallback on_complete;
+    int attempt = 0;  ///< attempts started (1 = the initial send)
+  };
+
+  void attempt(std::uint32_t pending);
+  void attempt_done(std::uint32_t pending, bool ok);
   SimTime backoff_delay(int attempt);
 
   Network& network_;
@@ -140,8 +195,10 @@ class ReliableTransport {
   TransportOptions options_;
   std::string name_;
 
-  std::unordered_map<std::uint64_t, std::uint64_t> next_seq_;  ///< channel -> seq
-  std::unordered_map<std::uint64_t, DedupWindow> windows_;     ///< channel -> window
+  ChannelTable channels_;
+  /// In-flight logical sends; network completions and retransmit timers
+  /// capture {this, index} only.
+  util::SlabPool<PendingSend> pending_;
   std::vector<std::pair<NodeId, MessageType>> registered_;
 
   std::uint64_t sends_ = 0;

@@ -1,7 +1,7 @@
 // The parallel sweep runner: thread-count invariance (bit-identical
 // outcomes for jobs=1 vs jobs=4), independent-but-reproducible replica
-// seeds, aggregation math, error propagation, and per-point telemetry
-// artifacts.
+// seeds, aggregation math, error propagation, per-point telemetry
+// artifacts, and the shared context of a sequential sweep.
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -126,6 +126,37 @@ TEST(SweepRunner, WritesOneTelemetryArtifactPerPoint) {
   for (std::size_t p = 0; p < outcomes.size(); ++p)
     EXPECT_EQ(outcomes[p].replicas[0], plain[p].replicas[0]);
   fs::remove_all(dir);
+}
+
+TEST(SweepRunner, SequentialSweepRecordsIntoTheSharedContext) {
+  // A single --telemetry-out context rides along a sequential sweep and
+  // collects every world; a parallel sweep leaves it untouched.
+  telemetry::Telemetry shared;
+  shared.enable();
+  SweepSpec spec = tiny_spec(2, 1);
+  spec.telemetry = &shared;
+  std::set<const telemetry::Telemetry*> seen;
+  const auto outcomes = run_sweep(spec, [&](const SweepTask& task) {
+    seen.insert(task.config.telemetry);
+    return run_tiny_world(task);
+  });
+  EXPECT_EQ(seen, (std::set<const telemetry::Telemetry*>{&shared}));
+  EXPECT_FALSE(shared.metrics.counters().empty());
+  const auto plain = run_sweep(tiny_spec(2, 1), run_tiny_world);
+  for (std::size_t p = 0; p < outcomes.size(); ++p)
+    EXPECT_EQ(outcomes[p].replicas, plain[p].replicas);
+
+  telemetry::Telemetry unused;
+  unused.enable();
+  spec.jobs = 2;
+  spec.telemetry = &unused;
+  std::atomic<int> attached{0};
+  run_sweep(spec, [&](const SweepTask& task) {
+    if (task.config.telemetry) attached.fetch_add(1);
+    return MetricRow{{"m", 1.0}};
+  });
+  EXPECT_EQ(attached.load(), 0);
+  EXPECT_TRUE(unused.metrics.counters().empty());
 }
 
 TEST(ParallelFor, CoversAllIndicesOnce) {

@@ -199,6 +199,32 @@ TEST_F(FrontendFixture, ReadsFallBackWhenSatellitesDie) {
   EXPECT_LT(clients.failure_rate(), 0.05);
 }
 
+TEST_F(FrontendFixture, NoRequestStartsAfterTheHorizon) {
+  // Multi-request sessions leave think-time timers armed at the horizon;
+  // when they fire they must end their session, not start a request.
+  rm::EslurmRm manager(engine, *net, *cluster_model, rm::eslurm_profile(),
+                       deployment, rm_config);
+  FrontendConfig config;
+  config.clients.users = 20000;
+  config.clients.session_cycle_mean = hours(4);
+  config.clients.session_requests_mean = 6.0;
+  config.clients.think_time_mean = seconds(10);
+  config.clients.seed = 7;
+  FrontEnd frontend(engine, *net, manager, config);
+
+  const SimTime horizon = minutes(3);
+  manager.start(horizon);
+  frontend.start(horizon);
+  engine.run_until(horizon);
+  const auto& clients = frontend.clients();
+  const std::uint64_t started_at_horizon = clients.started();
+  ASSERT_GT(started_at_horizon, 100u);
+
+  engine.run_until(horizon + minutes(10));  // drain
+  EXPECT_EQ(clients.started(), started_at_horizon);
+  EXPECT_EQ(clients.completed(), clients.started());
+}
+
 TEST_F(FrontendFixture, EmptyStreamAccessorsAreGuarded) {
   rm::EslurmRm manager(engine, *net, *cluster_model, rm::eslurm_profile(),
                        deployment, rm_config);

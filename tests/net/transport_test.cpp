@@ -4,13 +4,76 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/chaos.hpp"
 
 namespace eslurm::net {
 namespace {
+
+using Verdict = DedupWindow::Verdict;
+
+/// Reference model of the dedup window: a hash set for membership plus a
+/// FIFO of admission order.  DedupWindow must reach the same verdict on
+/// every frame.
+class ReferenceWindow {
+ public:
+  Verdict admit(std::uint64_t seq, std::size_t capacity) {
+    if (seen_.count(seq)) return Verdict::kDuplicate;
+    const bool wrapped = evicted_any_ && seq <= evicted_max_;
+    seen_.insert(seq);
+    order_.push_back(seq);
+    if (order_.size() > capacity) {
+      const std::uint64_t evicted = order_.front();
+      evicted_max_ = std::max(evicted_max_, evicted);
+      evicted_any_ = true;
+      seen_.erase(evicted);
+      order_.pop_front();
+    }
+    return wrapped ? Verdict::kWrapped : Verdict::kDeliver;
+  }
+  std::size_t size() const { return order_.size(); }
+
+ private:
+  std::unordered_set<std::uint64_t> seen_;
+  std::deque<std::uint64_t> order_;
+  std::uint64_t evicted_max_ = 0;
+  bool evicted_any_ = false;
+};
+
+/// A receiver's view of one channel: mostly in-order seqs, with
+/// duplicates of recent frames, swapped neighbours and late frames from
+/// far behind the window.
+std::vector<std::uint64_t> messy_seq_stream(Rng& rng, std::size_t capacity,
+                                            std::size_t length) {
+  std::vector<std::uint64_t> stream;
+  std::uint64_t next = 0;
+  const std::int64_t near = static_cast<std::int64_t>(capacity) + 2;
+  while (stream.size() < length) {
+    const double roll = rng.next_double();
+    if (roll < 0.15 && next > 0) {  // duplicate of a recent frame
+      const std::int64_t back = rng.uniform_int(1, std::min<std::int64_t>(near, next));
+      stream.push_back(next - static_cast<std::uint64_t>(back));
+    } else if (roll < 0.25 && next > 0) {  // late frame from long ago
+      stream.push_back(static_cast<std::uint64_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(next) - 1)));
+    } else if (roll < 0.35) {  // two fresh frames, reordered
+      stream.push_back(next + 1);
+      stream.push_back(next);
+      next += 2;
+    } else if (roll < 0.40) {  // a gap: frames lost for good
+      next += static_cast<std::uint64_t>(rng.uniform_int(1, near));
+      stream.push_back(next++);
+    } else {
+      stream.push_back(next++);
+    }
+  }
+  return stream;
+}
 
 struct TransportFixture : ::testing::Test {
   sim::Engine engine;
@@ -229,11 +292,9 @@ TEST_F(TransportFixture, DedupWindowWrapIsCountedAndReprocessed) {
   // A late duplicate of seq 2 is still inside the window: suppressed,
   // not a wrap.
   auto forge = [&](std::uint64_t seq) {
-    ReliableTransport::Envelope stale;
-    stale.seq = seq;
     Message frame;
     frame.type = 7;
-    frame.payload = std::move(stale);
+    frame.seq = seq;
     net.send(0, 1, std::move(frame));
   };
   forge(2);
@@ -249,6 +310,100 @@ TEST_F(TransportFixture, DedupWindowWrapIsCountedAndReprocessed) {
   EXPECT_EQ(got, 4);
   EXPECT_EQ(transport.dedup_window_wraps(), 1u);
   EXPECT_EQ(transport.duplicates_suppressed(), 1u);
+}
+
+TEST(DedupWindowTest, MatchesReferenceModelOnMessyStreams) {
+  for (const std::size_t capacity : {0u, 1u, 2u, 128u}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng rng(seed * 7919 + capacity);
+      DedupWindow window;
+      ReferenceWindow reference;
+      const auto stream = messy_seq_stream(rng, capacity, 4000);
+      std::map<Verdict, int> verdicts;
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        const Verdict expected = reference.admit(stream[i], capacity);
+        ASSERT_EQ(window.admit(stream[i], capacity), expected)
+            << "capacity " << capacity << " seed " << seed << " frame " << i
+            << " seq " << stream[i];
+        ASSERT_EQ(window.size(), reference.size());
+        ++verdicts[expected];
+      }
+      // The stream exercised every decision the window can make (a
+      // zero-capacity window remembers nothing, so never suppresses).
+      EXPECT_GT(verdicts[Verdict::kDeliver], 0);
+      EXPECT_GT(verdicts[Verdict::kWrapped], 0);
+      if (capacity > 0) {
+        EXPECT_GT(verdicts[Verdict::kDuplicate], 0);
+      }
+    }
+  }
+}
+
+TEST_F(TransportFixture, ForgedMessyStreamsMatchReferenceCounters) {
+  // The same comparison through the transport's receive path: frames
+  // forged onto two senders' channels must be delivered, suppressed and
+  // wrap-counted exactly as per-channel reference windows decide.
+  Network net = make(3);
+  TransportOptions opts = exact_options();
+  opts.dedup_window = 4;
+  ReliableTransport transport(net, Rng(9), opts);
+  int got = 0;
+  transport.register_handler(2, 7, [&](const Message&) { ++got; });
+  Rng rng(77);
+  ReferenceWindow reference[2];
+  int delivered = 0, suppressed = 0, wrapped = 0;
+  for (NodeId from = 0; from < 2; ++from) {
+    for (const std::uint64_t seq : messy_seq_stream(rng, opts.dedup_window, 500)) {
+      Message frame;
+      frame.type = 7;
+      frame.seq = seq;
+      net.send(from, 2, std::move(frame));
+      const Verdict verdict = reference[from].admit(seq, opts.dedup_window);
+      if (verdict == Verdict::kDuplicate) ++suppressed;
+      else ++delivered;
+      if (verdict == Verdict::kWrapped) ++wrapped;
+    }
+    engine.run();  // the network preserves order on one link without jitter
+  }
+  EXPECT_EQ(got, delivered);
+  EXPECT_EQ(transport.duplicates_suppressed(), static_cast<std::uint64_t>(suppressed));
+  EXPECT_EQ(transport.dedup_window_wraps(), static_cast<std::uint64_t>(wrapped));
+  EXPECT_EQ(transport.channels(), 2u);
+}
+
+TEST_F(TransportFixture, SenderAndReceiverShareOneChannelRecord) {
+  Network net = make(2);
+  ReliableTransport transport(net, Rng(9));
+  transport.register_handler(1, 7, [](const Message&) {});
+  transport.register_handler(0, 7, [](const Message&) {});
+  for (int i = 0; i < 3; ++i) transport.send(0, 1, Message{.type = 7});
+  engine.run();
+  EXPECT_EQ(transport.channels(), 1u);  // 0->1 type 7, both ends
+  transport.send(1, 0, Message{.type = 7});
+  engine.run();
+  EXPECT_EQ(transport.channels(), 2u);
+}
+
+TEST_F(TransportFixture, HeaderBytesChargeTheWireButNotTheHandler) {
+  Network net = make(2);
+  TransportOptions opts;
+  opts.header_bytes = 24;
+  ReliableTransport transport(net, Rng(9), opts);
+  std::size_t seen_bytes = 0;
+  int seen_payload = 0;
+  transport.register_handler(1, 7, [&](const Message& m) {
+    seen_bytes = m.bytes;
+    seen_payload = m.body<int>();
+  });
+  Message msg;
+  msg.type = 7;
+  msg.bytes = 100;
+  msg.payload = 5;
+  transport.send(0, 1, std::move(msg));
+  engine.run();
+  EXPECT_EQ(seen_bytes, 100u);
+  EXPECT_EQ(seen_payload, 5);
+  EXPECT_EQ(net.total_bytes(), 124u);
 }
 
 TEST_F(TransportFixture, LargeWindowNeverWrapsUnderChaosDuplicates) {
