@@ -13,6 +13,7 @@
 // expects the identical hash: event order must not depend on the thread
 // the world runs on.
 #include <cstdint>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -55,12 +56,20 @@ ExperimentConfig golden_config() {
   return config;
 }
 
-/// Runs the golden scenario and returns the stream hash.
-std::uint64_t run_golden(const ExperimentConfig& config) {
+/// The golden workload: one hour of a bursty Tianhe-2A-like trace.
+trace::WorkloadProfile golden_profile() {
   trace::WorkloadProfile profile = trace::tianhe2a_profile();
   profile.jobs_per_hour = 40;
   profile.max_nodes_per_job = 128;
   profile.seed = 0x60'1D;
+  return profile;
+}
+
+/// Runs the golden scenario and returns the stream hash; `inspect`, when
+/// set, sees the finished world before it is torn down.
+std::uint64_t run_golden(const ExperimentConfig& config,
+                         const trace::WorkloadProfile& profile = golden_profile(),
+                         const std::function<void(Experiment&)>& inspect = {}) {
   trace::TraceGenerator generator(profile);
   const auto jobs = generator.generate(hours(1));
 
@@ -78,6 +87,7 @@ std::uint64_t run_golden(const ExperimentConfig& config) {
   hasher.add(experiment.engine().executed_events());
   hasher.add(experiment.network().total_messages());
   hasher.add(experiment.network().total_bytes());
+  if (inspect) inspect(experiment);
   return hasher.hash;
 }
 
@@ -124,6 +134,48 @@ TEST(GoldenSequence, PolicyDisabledIsInert) {
   config.rm_config.policy.reservations.add(sched::policy::Reservation{
       .name = "maint", .start = minutes(10), .end = hours(1), .nodes = 256});
   EXPECT_EQ(run_golden(config), kGoldenHash);
+}
+
+/// Captured with the string-keyed account tree; the policy layer may be
+/// rebuilt for speed but must make every decision identically.
+constexpr std::uint64_t kPolicyGoldenHash = 0xd50bd39aba4cbf05ull;
+
+TEST(GoldenSequence, PolicyEnabledFairTreeAndLimits) {
+  // The golden world with the policy suite on: a trace tagged with the
+  // standard QoS mix and a two-level account tree, Fair Tree priorities,
+  // a node cap on every division, a running-job cap on one user and
+  // requeue preemption.  Pins the policy decisions themselves, not just
+  // their absence.
+  trace::WorkloadProfile profile = golden_profile();
+  profile.jobs_per_hour = 1000;  // a queue deep enough for holds and evictions
+  profile.qos_high_frac = 0.10;
+  profile.qos_low_frac = 0.20;
+  profile.account_count = 8;
+  ExperimentConfig config = golden_config();
+  config.rm_config.scheduler = "policy";
+  auto& policy = config.rm_config.policy;
+  policy.enabled = true;
+  policy.enable_preemption = true;
+  policy.preempt_mode = sched::policy::PreemptMode::Requeue;
+  policy.preempt_wait = seconds(60);
+  for (const auto& [account, parent] : trace::account_hierarchy(profile)) {
+    sched::policy::AccountLimits limits;
+    if (account.rfind("div", 0) == 0) limits.max_nodes = 320;
+    policy.accounts.add_account(account, parent, 1.0, limits);
+  }
+  policy.accounts.set_user("user1", trace::account_for_user(profile, "user1"), 1.0,
+                           sched::policy::UserLimits{.max_running_jobs = 1});
+
+  const std::uint64_t hash = run_golden(config, profile, [](Experiment& experiment) {
+    const auto* scheduler = experiment.manager().policy();
+    ASSERT_NE(scheduler, nullptr);
+    EXPECT_GT(scheduler->limit_holds(), 0u);
+    EXPECT_GT(scheduler->preempt_orders_issued(), 0u);
+    EXPECT_GT(scheduler->backfilled_jobs(), 0u);
+    EXPECT_EQ(scheduler->limit_violations(), 0u);
+  });
+  printf("policy golden hash: 0x%016llx\n", static_cast<unsigned long long>(hash));
+  EXPECT_EQ(hash, kPolicyGoldenHash);
 }
 
 TEST(GoldenSequence, RecoveryDisabledIsInert) {
