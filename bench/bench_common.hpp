@@ -71,10 +71,8 @@ class TelemetryScope {
     for (int i = 1; i < argc; ++i) {
       if (std::string(argv[i]) != "--telemetry-out") continue;
       if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "warning: --telemetry-out requires a path argument; "
-                     "telemetry stays disabled\n");
-        break;
+        std::fprintf(stderr, "error: --telemetry-out requires a path argument\n");
+        std::exit(2);
       }
       path_ = argv[i + 1];
       context_.enable();
@@ -94,10 +92,6 @@ class TelemetryScope {
   /// The context to inject into this bench's worlds; nullptr when the
   /// flag was absent.
   telemetry::Telemetry* context() { return path_.empty() ? nullptr : &context_; }
-
-  /// Drop the pending artifact (the flag was rejected, e.g. --jobs > 1);
-  /// nothing is written at scope end.
-  void suppress() { path_.clear(); }
 
  private:
   telemetry::Telemetry context_;
@@ -197,6 +191,14 @@ class Harness {
                      arg.c_str());
       }
     }
+    // A context serves one world at a time: refuse the flag before any
+    // world runs rather than leave the promised artifact unwritten.
+    if (jobs_ > 1 && scope_.context()) {
+      std::fprintf(stderr,
+                   "error: --telemetry-out records one world at a time and cannot "
+                   "be combined with --jobs > 1 (use --telemetry-dir)\n");
+      std::exit(2);
+    }
     banner(paper_id, what);
   }
 
@@ -210,22 +212,9 @@ class Harness {
   int replicas() const { return replicas_; }
 
   /// The single-artifact telemetry context (--telemetry-out); nullptr
-  /// when absent.  A context serves one world at a time, so parallel
-  /// runs (--jobs > 1) get nullptr here -- use --telemetry-dir for
-  /// per-point artifacts instead.
-  telemetry::Telemetry* telemetry() {
-    if (jobs_ > 1 && scope_.context()) {
-      if (!warned_parallel_telemetry_) {
-        warned_parallel_telemetry_ = true;
-        std::fprintf(stderr,
-                     "warning: --telemetry-out is single-world; ignored with "
-                     "--jobs > 1 (use --telemetry-dir)\n");
-        scope_.suppress();
-      }
-      return nullptr;
-    }
-    return scope_.context();
-  }
+  /// when absent.  The flag is refused with --jobs > 1, so a context is
+  /// only ever handed to sequential runs.
+  telemetry::Telemetry* telemetry() { return scope_.context(); }
 
   /// SweepSpec pre-filled with this run's --jobs/--replicas, the
   /// per-point artifact directory (--telemetry-dir) and, for a sequential
@@ -342,7 +331,6 @@ class Harness {
   int replicas_ = 1;
   std::string json_out_;
   std::string telemetry_dir_;
-  bool warned_parallel_telemetry_ = false;
   std::vector<core::PointOutcome> points_;
   std::atomic<std::uint64_t> total_events_{0};
   std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();

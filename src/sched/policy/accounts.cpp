@@ -6,136 +6,175 @@
 
 namespace eslurm::sched::policy {
 
-namespace {
-const std::string kEmpty;
-}  // namespace
+const char* hold_reason_name(HoldReason reason) {
+  static constexpr const char* kNames[] = {
+      "qos-user-max-jobs", "qos-user-max-nodes", "user-max-jobs", "user-max-nodes",
+      "account-max-jobs", "account-max-nodes", "account-budget"};
+  return kNames[static_cast<std::size_t>(reason)];
+}
 
 AccountTree::AccountTree(SimTime half_life) : half_life_(half_life) {
   if (half_life_ <= 0) throw std::invalid_argument("AccountTree: half_life > 0");
+  accounts_.emplace_back();  // the root
 }
 
 void AccountTree::add_account(const std::string& name, const std::string& parent,
                               double shares, AccountLimits limits) {
   if (name.empty()) throw std::invalid_argument("AccountTree: account needs a name");
-  if (!parent.empty() && !accounts_.count(parent))
-    throw std::invalid_argument("AccountTree: unknown parent account");
-  Account& account = accounts_[name];
-  account.parent = parent;
-  account.shares = shares;
-  account.limits = limits;
+  AccountId parent_id = kRootAccount;
+  if (!parent.empty()) {
+    const auto it = account_ids_.find(parent);
+    if (it == account_ids_.end())
+      throw std::invalid_argument("AccountTree: unknown parent account");
+    parent_id = it->second;
+  }
+  const auto [it, inserted] =
+      account_ids_.try_emplace(name, static_cast<AccountId>(accounts_.size()));
+  const AccountId id = it->second;
+  if (inserted) {
+    accounts_.push_back(Account{.name = name, .parent = parent_id});
+    accounts_[parent_id].child_accounts.push_back(id);
+    ++generation_;
+  } else if (accounts_[id].parent != parent_id) {
+    for (AccountId up = parent_id; up != kRootAccount; up = accounts_[up].parent)
+      if (up == id)
+        throw std::invalid_argument("AccountTree: parent inside the account's subtree");
+    std::erase(accounts_[accounts_[id].parent].child_accounts, id);
+    accounts_[parent_id].child_accounts.push_back(id);
+    accounts_[id].parent = parent_id;
+  }
+  accounts_[id].shares = shares;
+  accounts_[id].limits = limits;
 }
 
 void AccountTree::set_user(const std::string& user, const std::string& account,
                            double shares, UserLimits limits) {
   if (user.empty()) throw std::invalid_argument("AccountTree: user needs a name");
-  if (!account.empty() && !accounts_.count(account))
+  if (!account.empty() && !account_ids_.count(account))
     add_account(account);  // self-assembly: unseen accounts hang off root
-  User& entry = users_[user];
-  entry.account = account;
-  entry.shares = shares;
-  entry.limits = limits;
+  const AccountId account_id = account.empty() ? kRootAccount : account_ids_.at(account);
+  const auto [it, inserted] =
+      user_ids_.try_emplace(user, static_cast<UserId>(users_.size()));
+  const UserId id = it->second;
+  if (inserted) {
+    users_.push_back(User{.name = user, .account = account_id});
+    if (const auto early = unregistered_usage_.find(user);
+        early != unregistered_usage_.end()) {
+      users_.back().usage = early->second;
+      unregistered_usage_.erase(early);
+    }
+    accounts_[account_id].child_users.push_back(id);
+    ++generation_;
+  } else if (users_[id].account != account_id) {
+    std::erase(accounts_[users_[id].account].child_users, id);
+    accounts_[account_id].child_users.push_back(id);
+    users_[id].account = account_id;
+    ++generation_;
+  }
+  users_[id].shares = shares;
+  users_[id].limits = limits;
 }
 
 void AccountTree::ensure_user(const std::string& user, const std::string& account) {
-  if (user.empty() || users_.count(user)) return;
+  if (user.empty() || user_ids_.count(user)) return;
   set_user(user, account);
 }
 
 const std::string& AccountTree::account_of(const std::string& user) const {
-  const auto it = users_.find(user);
-  return it == users_.end() ? kEmpty : it->second.account;
+  const auto it = user_ids_.find(user);
+  const AccountId account = it == user_ids_.end() ? kRootAccount
+                                                  : users_[it->second].account;
+  return accounts_[account].name;
 }
 
-const std::string& AccountTree::effective_account(const Job& job) const {
-  if (!job.account.empty()) return job.account;
-  return account_of(job.user);
-}
-
-void AccountTree::chain_of(const std::string& account,
-                           std::vector<const Account*>* accounts,
-                           std::vector<const std::string*>* names) const {
-  const std::string* current = &account;
-  // Depth is bounded by the registered hierarchy; a malformed cycle would
-  // have been rejected at add_account (parents must pre-exist).
-  while (!current->empty()) {
-    const auto it = accounts_.find(*current);
-    if (it == accounts_.end()) break;  // unregistered tag: no caps apply
-    if (accounts) accounts->push_back(&it->second);
-    if (names) names->push_back(&it->first);
-    current = &it->second.parent;
+JobKeys AccountTree::keys_of(const Job& job) const {
+  JobKeys keys;
+  if (const auto it = user_ids_.find(job.user); it != user_ids_.end())
+    keys.user = it->second;
+  if (!job.account.empty()) {
+    // An unregistered tag charges nothing: no caps apply.
+    if (const auto it = account_ids_.find(job.account); it != account_ids_.end())
+      keys.account = it->second;
+  } else if (keys.user != kNoUser) {
+    keys.account = users_[keys.user].account;
   }
+  return keys;
 }
 
-LiveUsage AccountTree::usage_from(const JobPool& pool) const {
-  LiveUsage usage;
-  for (const JobId id : pool.active()) {
-    const Job& job = pool.get(id);
-    if (job.finished()) continue;  // completing: resources counted until release
-    add_usage(usage, job);
-  }
-  return usage;
-}
-
-void AccountTree::add_usage(LiveUsage& usage, const Job& job) const {
-  auto& user = usage.by_user[job.user];
+void AccountTree::add_usage(LiveUsage& usage, const Job& job, JobKeys keys) const {
+  const auto slot = [](std::vector<LiveUsage::Entry>& entries, std::uint32_t id) -> auto& {
+    if (id >= entries.size()) entries.resize(id + 1);
+    return entries[id];
+  };
+  LiveUsage::Entry& user = keys.user == kNoUser ? usage.unregistered[job.user]
+                                                : slot(usage.by_user, keys.user);
   ++user.running_jobs;
   user.nodes += job.nodes;
-  std::vector<const std::string*> names;
-  chain_of(effective_account(job), nullptr, &names);
-  for (const std::string* name : names) {
-    auto& account = usage.by_account[*name];
+  for (AccountId a = keys.account; a != kRootAccount; a = accounts_[a].parent) {
+    LiveUsage::Entry& account = slot(usage.by_account, a);
     ++account.running_jobs;
     account.nodes += job.nodes;
   }
 }
 
-std::optional<std::string> AccountTree::may_start(const Job& job, const QosClass& qos,
-                                                  const LiveUsage& usage) const {
-  static const LiveUsage::Entry kNone;
-  const auto user_it = usage.by_user.find(job.user);
-  const LiveUsage::Entry& mine = user_it == usage.by_user.end() ? kNone
-                                                                : user_it->second;
+LiveUsage::Entry AccountTree::held_by_user(const LiveUsage& usage, UserId user,
+                                           const std::string& name) const {
+  LiveUsage::Entry held;
+  if (user < usage.by_user.size()) held = usage.by_user[user];
+  if (!usage.unregistered.empty()) {
+    const auto it = usage.unregistered.find(user == kNoUser ? name : users_[user].name);
+    if (it != usage.unregistered.end()) {
+      held.running_jobs += it->second.running_jobs;
+      held.nodes += it->second.nodes;
+    }
+  }
+  return held;
+}
+
+std::optional<HoldReason> AccountTree::may_start(const Job& job, JobKeys keys,
+                                                 const QosClass& qos,
+                                                 const LiveUsage& usage) const {
+  const LiveUsage::Entry mine = held_by_user(usage, keys.user, job.user);
   // Per-QoS per-user caps bind first (Slurm checks QOS before
   // association limits).
   if (mine.running_jobs + 1 > qos.max_running_jobs_per_user)
-    return "qos-user-max-jobs";
-  if (mine.nodes + job.nodes > qos.max_nodes_per_user) return "qos-user-max-nodes";
+    return HoldReason::QosUserMaxJobs;
+  if (mine.nodes + job.nodes > qos.max_nodes_per_user) return HoldReason::QosUserMaxNodes;
 
-  if (const auto it = users_.find(job.user); it != users_.end()) {
-    if (mine.running_jobs + 1 > it->second.limits.max_running_jobs)
-      return "user-max-jobs";
-    if (mine.nodes + job.nodes > it->second.limits.max_nodes) return "user-max-nodes";
+  if (keys.user != kNoUser) {
+    const UserLimits& limits = users_[keys.user].limits;
+    if (mine.running_jobs + 1 > limits.max_running_jobs) return HoldReason::UserMaxJobs;
+    if (mine.nodes + job.nodes > limits.max_nodes) return HoldReason::UserMaxNodes;
   }
 
-  std::vector<const Account*> accounts;
-  std::vector<const std::string*> names;
-  chain_of(effective_account(job), &accounts, &names);
-  for (std::size_t i = 0; i < accounts.size(); ++i) {
-    const AccountLimits& limits = accounts[i]->limits;
-    const auto it = usage.by_account.find(*names[i]);
-    const LiveUsage::Entry& held = it == usage.by_account.end() ? kNone : it->second;
-    if (held.running_jobs + 1 > limits.max_running_jobs) return "account-max-jobs";
-    if (held.nodes + job.nodes > limits.max_nodes) return "account-max-nodes";
-    if (charged_node_seconds(*names[i]) >= limits.node_seconds_budget)
-      return "account-budget";
+  for (AccountId a = keys.account; a != kRootAccount; a = accounts_[a].parent) {
+    const Account& account = accounts_[a];
+    const LiveUsage::Entry held =
+        a < usage.by_account.size() ? usage.by_account[a] : LiveUsage::Entry{};
+    if (held.running_jobs + 1 > account.limits.max_running_jobs)
+      return HoldReason::AccountMaxJobs;
+    if (held.nodes + job.nodes > account.limits.max_nodes)
+      return HoldReason::AccountMaxNodes;
+    if (account.budget_spent >= account.limits.node_seconds_budget)
+      return HoldReason::AccountBudget;
   }
   return std::nullopt;
 }
 
 std::size_t AccountTree::violations(const LiveUsage& usage) const {
+  // An entry counts only when it holds a job: an unused cap is no entry.
   std::size_t count = 0;
-  for (const auto& [user, held] : usage.by_user) {
-    const auto it = users_.find(user);
-    if (it == users_.end()) continue;
-    if (held.running_jobs > it->second.limits.max_running_jobs ||
-        held.nodes > it->second.limits.max_nodes)
+  for (UserId u = 0; u < users_.size(); ++u) {
+    const LiveUsage::Entry held = held_by_user(usage, u, users_[u].name);
+    if (held.running_jobs > 0 && (held.running_jobs > users_[u].limits.max_running_jobs ||
+                                  held.nodes > users_[u].limits.max_nodes))
       ++count;
   }
-  for (const auto& [account, held] : usage.by_account) {
-    const auto it = accounts_.find(account);
-    if (it == accounts_.end()) continue;
-    if (held.running_jobs > it->second.limits.max_running_jobs ||
-        held.nodes > it->second.limits.max_nodes)
+  for (AccountId a = kRootAccount + 1; a < std::min(accounts_.size(), usage.by_account.size());
+       ++a) {
+    const LiveUsage::Entry& held = usage.by_account[a];
+    if (held.running_jobs > 0 && (held.running_jobs > accounts_[a].limits.max_running_jobs ||
+                                  held.nodes > accounts_[a].limits.max_nodes))
       ++count;
   }
   return count;
@@ -147,116 +186,92 @@ double AccountTree::decayed(const DecayEntry& entry, SimTime now) const {
   return entry.usage * std::exp2(-half_lives);
 }
 
-void AccountTree::charge_entity(const std::string& key, double node_seconds,
-                                SimTime now) {
-  DecayEntry& entry = decay_[key];
+void AccountTree::accrue(DecayEntry& entry, double node_seconds, SimTime now) const {
   entry.usage = decayed(entry, now) + node_seconds;
   entry.as_of = now;
 }
 
-void AccountTree::charge(const Job& job, double node_seconds, SimTime now) {
+void AccountTree::charge(const Job& job, JobKeys keys, double node_seconds, SimTime now) {
   if (node_seconds <= 0) return;
-  charge_entity("u:" + job.user, node_seconds, now);
-  std::vector<const std::string*> names;
-  chain_of(effective_account(job), nullptr, &names);
-  for (const std::string* name : names) {
-    charge_entity("a:" + *name, node_seconds, now);
-    budget_spent_[*name] += node_seconds;  // budgets do not decay
+  accrue(keys.user == kNoUser ? unregistered_usage_[job.user] : users_[keys.user].usage,
+         node_seconds, now);
+  for (AccountId a = keys.account; a != kRootAccount; a = accounts_[a].parent) {
+    accrue(accounts_[a].usage, node_seconds, now);
+    accounts_[a].budget_spent += node_seconds;
   }
 }
 
 double AccountTree::charged_node_seconds(const std::string& account) const {
-  const auto it = budget_spent_.find(account);
-  return it == budget_spent_.end() ? 0.0 : it->second;
+  const auto it = account_ids_.find(account);
+  return it == account_ids_.end() ? 0.0 : accounts_[it->second].budget_spent;
 }
 
 double AccountTree::decayed_usage(const std::string& user, SimTime now) const {
-  const auto it = decay_.find("u:" + user);
-  return it == decay_.end() ? 0.0 : decayed(it->second, now);
+  if (const auto it = user_ids_.find(user); it != user_ids_.end())
+    return decayed(users_[it->second].usage, now);
+  const auto it = unregistered_usage_.find(user);
+  return it == unregistered_usage_.end() ? 0.0 : decayed(it->second, now);
+}
+
+void AccountTree::push_ranked_children(AccountId parent, SimTime now) const {
+  // Level fairshare = shares fraction / decayed-usage fraction (Slurm's
+  // Fair Tree).  With zero aggregate usage everything ties on shares.
+  const std::size_t first = walk_.size();
+  double total_shares = 0.0;
+  double total_usage = 0.0;
+  const auto collect = [&](std::uint32_t id, bool is_user, double shares,
+                           const DecayEntry& usage) {
+    walk_.push_back({shares, decayed(usage, now), id, is_user});
+    total_shares += shares;
+    total_usage += walk_.back().usage;
+  };
+  for (const AccountId a : accounts_[parent].child_accounts)
+    collect(a, false, accounts_[a].shares, accounts_[a].usage);
+  for (const UserId u : accounts_[parent].child_users)
+    collect(u, true, users_[u].shares, users_[u].usage);
+  for (std::size_t i = first; i < walk_.size(); ++i) {
+    Ranked& r = walk_[i];
+    const double shares_frac = total_shares > 0.0 ? r.level_fs / total_shares : 1.0;
+    const double usage_frac = total_usage > 0.0 ? r.usage / total_usage : 0.0;
+    r.level_fs = shares_frac / std::max(usage_frac, 1e-9);
+  }
+  // Rank order is (level fairshare desc, name, accounts before users), a
+  // total order; the stack holds it reversed so the best child pops first.
+  const auto name_of = [this](const Ranked& r) -> const std::string& {
+    return r.is_user ? users_[r.id].name : accounts_[r.id].name;
+  };
+  std::sort(walk_.begin() + static_cast<std::ptrdiff_t>(first), walk_.end(),
+            [&](const Ranked& a, const Ranked& b) {
+              if (a.level_fs != b.level_fs) return a.level_fs < b.level_fs;
+              if (const int c = name_of(a).compare(name_of(b)); c != 0) return c > 0;
+              return a.is_user && !b.is_user;
+            });
+}
+
+void AccountTree::fair_tree_factors(SimTime now, std::vector<double>& out) const {
+  out.assign(users_.size(), 1.0);
+  const double total_users = static_cast<double>(users_.size());
+  std::size_t rank = users_.size();
+  walk_.clear();
+  push_ranked_children(kRootAccount, now);
+  while (!walk_.empty()) {
+    const Ranked top = walk_.back();
+    walk_.pop_back();
+    if (top.is_user) {
+      out[top.id] = static_cast<double>(rank) / total_users;
+      --rank;
+    } else {
+      push_ranked_children(top.id, now);
+    }
+  }
 }
 
 std::unordered_map<std::string, double> AccountTree::fair_tree_factors(
     SimTime now) const {
+  std::vector<double> by_id;
+  fair_tree_factors(now, by_id);
   std::unordered_map<std::string, double> factors;
-  if (users_.empty()) return factors;
-
-  // Child adjacency, rebuilt per call: the tree is small (hundreds of
-  // nodes) and mutation-free queries beat cache invalidation headaches.
-  std::unordered_map<std::string, std::vector<const std::string*>> child_accounts;
-  std::unordered_map<std::string, std::vector<const std::string*>> child_users;
-  for (const auto& [name, account] : accounts_)
-    child_accounts[account.parent].push_back(&name);
-  for (const auto& [name, user] : users_)
-    child_users[user.account].push_back(&name);
-
-  struct Ranked {
-    double level_fs = 0.0;
-    const std::string* name = nullptr;
-    bool is_user = false;
-  };
-
-  const std::size_t total_users = users_.size();
-  std::size_t rank = total_users;
-
-  // Iterative DFS from the root; each frame ranks its children by
-  // level fairshare = shares fraction / decayed-usage fraction (Slurm's
-  // Fair Tree), deterministically tie-broken by name.
-  const auto rank_children = [&](const std::string& parent) {
-    std::vector<Ranked> ranked;
-    double total_shares = 0.0;
-    double total_usage = 0.0;
-    const auto collect = [&](const std::string* name, bool is_user, double shares,
-                             double usage) {
-      ranked.push_back({0.0, name, is_user});
-      ranked.back().level_fs = shares;  // temporarily stash shares
-      total_shares += shares;
-      total_usage += usage;
-    };
-    if (const auto it = child_accounts.find(parent); it != child_accounts.end())
-      for (const std::string* name : it->second) {
-        const auto entry = decay_.find("a:" + *name);
-        collect(name, false, accounts_.at(*name).shares,
-                entry == decay_.end() ? 0.0 : decayed(entry->second, now));
-      }
-    if (const auto it = child_users.find(parent); it != child_users.end())
-      for (const std::string* name : it->second)
-        collect(name, true, users_.at(*name).shares, decayed_usage(*name, now));
-    // Second pass: turn (shares, usage) into the level fairshare.  With
-    // zero aggregate usage everything ties on shares alone.
-    const auto usage_of = [&](const Ranked& r) {
-      if (r.is_user) return decayed_usage(*r.name, now);
-      const auto entry = decay_.find("a:" + *r.name);
-      return entry == decay_.end() ? 0.0 : decayed(entry->second, now);
-    };
-    for (Ranked& r : ranked) {
-      const double shares_frac =
-          total_shares > 0.0 ? r.level_fs / total_shares : 1.0;
-      const double usage_frac =
-          total_usage > 0.0 ? usage_of(r) / total_usage : 0.0;
-      r.level_fs = shares_frac / std::max(usage_frac, 1e-9);
-    }
-    std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-      if (a.level_fs != b.level_fs) return a.level_fs > b.level_fs;
-      return *a.name < *b.name;
-    });
-    return ranked;
-  };
-
-  std::vector<Ranked> stack = rank_children(kEmpty);
-  std::reverse(stack.begin(), stack.end());  // keep rank order on a LIFO stack
-  while (!stack.empty()) {
-    const Ranked top = stack.back();
-    stack.pop_back();
-    if (top.is_user) {
-      factors[*top.name] =
-          static_cast<double>(rank) / static_cast<double>(total_users);
-      --rank;
-    } else {
-      std::vector<Ranked> children = rank_children(*top.name);
-      std::reverse(children.begin(), children.end());
-      stack.insert(stack.end(), children.begin(), children.end());
-    }
-  }
+  for (UserId u = 0; u < users_.size(); ++u) factors[users_[u].name] = by_id[u];
   return factors;
 }
 

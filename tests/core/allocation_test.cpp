@@ -11,13 +11,15 @@
 //     {this, op} event captures across all legs of a send;
 //   * reliable transport: pooled pending sends, the flat channel table and
 //     full dedup rings, so a transported round trip (ping, handler reply,
-//     completions) allocates nothing once its channels are warm.
+//     completions) allocates nothing once its channels are warm;
+//   * policy pass: the Fair Tree walk, the live-usage rebuild and
+//     admission checks reuse their storage and report holds as enums.
 //
 // Under ASan/TSan the runtime owns operator new, so the hook is compiled
 // out and the tests skip (the sanitizer jobs cover memory correctness;
 // this binary covers allocation count in plain builds).  The transport
-// cases still run there, as memory-correctness checks of the pooled
-// send path, with a count that is trivially zero.
+// and policy cases still run there, as memory-correctness checks of the
+// reused storage, with a count that is trivially zero.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,7 @@
 #include "net/chaos.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
+#include "sched/policy/accounts.hpp"
 #include "sim/engine.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -286,6 +289,74 @@ TEST(ZeroAllocation, TransportSteadyStatePingPong) {
 
 TEST(ZeroAllocation, TransportSteadyStatePingPongWithChaosDuplicates) {
   transport_ping_pong_allocates_nothing(/*duplicate=*/true);
+}
+
+TEST(ZeroAllocation, PolicyPassSteadyState) {
+  // A 300-user tree under 8 accounts (2 divisions of 3 projects each),
+  // usage charged everywhere, 60 running jobs and one pending job held by
+  // its user's cap: one scheduling pass's worth of policy work.
+  using namespace sched::policy;
+  AccountTree tree(hours(12));
+  for (int d = 0; d < 2; ++d) {
+    const std::string division = "div" + std::to_string(d);
+    tree.add_account(division, "", 1.0, AccountLimits{.max_nodes = 400});
+    for (int p = 0; p < 3; ++p)
+      tree.add_account("proj" + std::to_string(3 * d + p), division, 1.0 + p);
+  }
+  sched::JobPool pool;
+  for (int u = 0; u < 300; ++u) {
+    const std::string user = "user" + std::to_string(u);
+    tree.set_user(user, "proj" + std::to_string(u % 6), 1.0,
+                  UserLimits{.max_running_jobs = u == 5 ? 1 : 100});
+    sched::Job job;
+    job.id = static_cast<sched::JobId>(u + 1);
+    job.user = user;
+    job.nodes = 1 + u % 4;
+    tree.charge(job, 1000.0 * (u % 13), minutes(u));
+    if (u % 5 == 0) {
+      pool.submit(job);
+      pool.mark_starting(job.id);
+      pool.mark_running(job.id, minutes(u));
+    }
+  }
+  sched::Job held;
+  held.id = 1000;
+  held.user = "user5";  // capped at one job and already running it
+  held.nodes = 2;
+  pool.submit(held);
+  sched::Job free_job;
+  free_job.id = 1001;
+  free_job.user = "user8";
+  free_job.nodes = 2;
+  pool.submit(free_job);
+  const JobKeys held_keys = tree.keys_of(held);
+  const JobKeys free_keys = tree.keys_of(free_job);
+  const QosClass qos;
+
+  std::vector<double> factors;
+  LiveUsage usage;
+  std::size_t holds = 0;
+  const auto pass = [&](SimTime now) {
+    tree.fair_tree_factors(now, factors);
+    tree.usage_from(pool, usage);
+    holds += tree.may_start(held, held_keys, qos, usage).has_value();
+    holds += tree.may_start(free_job, free_keys, qos, usage).has_value();
+    tree.add_usage(usage, free_job, free_keys);
+  };
+  pass(hours(1));  // warm-up: every reused buffer reaches its size
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    for (int i = 0; i < 200; ++i) pass(hours(1) + minutes(i));
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a steady-state policy pass must not touch the allocator";
+  ASSERT_EQ(factors.size(), 300u);
+  EXPECT_NE(factors[0], factors[1]);
+  EXPECT_EQ(holds, 201u);  // exactly the capped job, every pass
+  EXPECT_STREQ(hold_reason_name(*tree.may_start(held, held_keys, qos, usage)),
+               "user-max-jobs");
 }
 
 }  // namespace

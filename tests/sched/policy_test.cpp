@@ -97,12 +97,12 @@ TEST(AccountTreeTest, QosCapsBindBeforeAssociationCaps) {
   tree.add_usage(usage, make_job(1, "u", 4, minutes(10)));
   const auto reason = tree.may_start(make_job(2, "u", 4, minutes(10)), qos, usage);
   ASSERT_TRUE(reason.has_value());
-  EXPECT_EQ(*reason, "qos-user-max-jobs");
+  EXPECT_STREQ(hold_reason_name(*reason), "qos-user-max-jobs");
   // With an unconstrained QoS the association cap surfaces instead.
   const auto assoc =
       tree.may_start(make_job(2, "u", 4, minutes(10)), QosClass{}, usage);
   ASSERT_TRUE(assoc.has_value());
-  EXPECT_EQ(*assoc, "user-max-jobs");
+  EXPECT_STREQ(hold_reason_name(*assoc), "user-max-jobs");
 }
 
 TEST(AccountTreeTest, PerUserNodeCapHolds) {
@@ -115,7 +115,7 @@ TEST(AccountTreeTest, PerUserNodeCapHolds) {
   const auto reason = tree.may_start(make_job(3, "u", 4, minutes(10)), QosClass{},
                                      usage);
   ASSERT_TRUE(reason.has_value());
-  EXPECT_EQ(*reason, "user-max-nodes");
+  EXPECT_STREQ(hold_reason_name(*reason), "user-max-nodes");
 }
 
 TEST(AccountTreeTest, DivisionCapBindsWholeSubtree) {
@@ -133,7 +133,7 @@ TEST(AccountTreeTest, DivisionCapBindsWholeSubtree) {
   const auto reason = tree.may_start(
       make_job(2, "bob", 4, minutes(10), 0, "", "proj-b"), QosClass{}, usage);
   ASSERT_TRUE(reason.has_value());
-  EXPECT_EQ(*reason, "account-max-nodes");
+  EXPECT_STREQ(hold_reason_name(*reason), "account-max-nodes");
   EXPECT_EQ(tree.may_start(make_job(3, "bob", 2, minutes(10), 0, "", "proj-b"),
                            QosClass{}, usage),
             std::nullopt);
@@ -150,7 +150,7 @@ TEST(AccountTreeTest, ExhaustedBudgetHoldsFurtherJobs) {
   EXPECT_DOUBLE_EQ(tree.charged_node_seconds("grant"), 100.0);
   const auto reason = tree.may_start(job, QosClass{}, empty);
   ASSERT_TRUE(reason.has_value());
-  EXPECT_EQ(*reason, "account-budget");
+  EXPECT_STREQ(hold_reason_name(*reason), "account-budget");
   // Budgets do not decay: the hold persists arbitrarily far in the future.
   tree.charge(make_job(2, "u", 1, seconds(1), 0, "", "grant"), 1.0, days(30));
   EXPECT_DOUBLE_EQ(tree.charged_node_seconds("grant"), 101.0);
@@ -209,6 +209,36 @@ TEST(AccountTreeTest, FairTreeTiesBreakDeterministicallyByName) {
   // Equal shares, zero usage: rank order is name order.
   EXPECT_GT(first.at("u1"), first.at("u2"));
   EXPECT_GT(first.at("u2"), first.at("u3"));
+}
+
+TEST(AccountTreeTest, FairTreeOrdersSameNamedAccountAndUserAccountFirst) {
+  // A user and an account may share a name.  At the same level with the
+  // same level fairshare, the account ranks first whichever was
+  // registered first, so its member outranks the same-named user.
+  const auto factors_when = [](bool account_first) {
+    AccountTree tree;
+    if (account_first) tree.add_account("x");
+    tree.set_user("x", "");
+    if (!account_first) tree.add_account("x");
+    tree.set_user("member", "x");
+    return tree.fair_tree_factors(hours(1));
+  };
+  const auto account_first = factors_when(true);
+  EXPECT_EQ(account_first, factors_when(false));
+  EXPECT_GT(account_first.at("member"), account_first.at("x"));
+}
+
+TEST(AccountTreeTest, ReparentingIntoOwnSubtreeThrows) {
+  AccountTree tree;
+  tree.add_account("div");
+  tree.add_account("proj", "div");
+  EXPECT_THROW(tree.add_account("div", "proj"), std::invalid_argument);
+  EXPECT_THROW(tree.add_account("div", "div"), std::invalid_argument);
+  // A legal move keeps the tree whole: the project now hangs off root.
+  tree.add_account("proj", "");
+  tree.add_account("div", "proj");
+  tree.set_user("u", "div");
+  EXPECT_EQ(tree.fair_tree_factors(0).size(), 1u);
 }
 
 TEST(AccountTreeTest, UnknownParentThrows) {
