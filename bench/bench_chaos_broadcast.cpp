@@ -11,7 +11,8 @@
 //     relay's in-tree retries are all dropped -- lost deliveries grow
 //     with the drop rate;
 //   * the transported variants lose nothing (delivered == targets) at
-//     every swept rate, paying only retransmit latency.
+//     every swept rate, paying only retransmit latency -- checked by the
+//     bench; a failure exits 1.
 // All worlds are seeded per sweep point, so results are bit-identical
 // across --jobs values and across runs.
 #include <optional>
@@ -125,9 +126,10 @@ int main(int argc, char** argv) {
                    transport_name, format_double(cell.elapsed_s, 4),
                    count(cell.delivered), count(cell.lost),
                    count(cell.retransmits), count(cell.dup_suppressed)});
+    const std::string label = "drop=" + format_double(100 * cell.drop, 3) + "%/" +
+                              cell.structure + "/" + transport_name;
     harness.record_point(
-        "drop=" + format_double(100 * cell.drop, 3) + "%/" + cell.structure +
-            "/" + transport_name,
+        label,
         {{"drop_prob", format_double(cell.drop, 4)},
          {"structure", cell.structure},
          {"transport", transport_name},
@@ -138,10 +140,10 @@ int main(int argc, char** argv) {
          {"chaos_dropped", cell.chaos_dropped},
          {"retransmits", cell.retransmits},
          {"dup_suppressed", cell.dup_suppressed}});
+    if (cell.reliable)
+      harness.check(label, "reliable transport lost == 0", cell.lost == 0.0, cell.lost);
   }
   table.print();
-  std::printf("[reliable variants must report lost = 0 at every drop rate; "
-              "raw trees shed deliveries as drops defeat their in-tree "
-              "retries]\n");
-  return 0;
+  harness.headline({"delivered", "lost", "retransmits", "elapsed_s"});
+  return harness.finish();
 }

@@ -9,7 +9,9 @@
 //   --replicas N         seed replicas per sweep point (mean +/- stddev)
 //   --json OUT           write a BENCH_<name>.json artifact; OUT is the
 //                        file path (when it ends in .json) or a directory
-//   --telemetry-out FILE single combined trace+metrics artifact
+//   --telemetry-out FILE single combined trace+metrics artifact (one
+//                        world at a time: refused with exit status 2
+//                        when --jobs > 1 or the path is missing)
 //   --telemetry-dir DIR  one telemetry artifact per sweep point
 //
 // The BENCH JSON schema ("eslurm-bench-v2"):
@@ -19,9 +21,24 @@
 //     "events_per_sec": N|null, "peak_rss_bytes": N,
 //     "points": [ { "label": "...", "params": {"k": "v", ...},
 //                   "metrics": {"m": {"mean","stddev","min","max","n"}},
-//                   "replicas": [ {"m": value, ...}, ... ] } ] }
+//                   "replicas": [ {"m": value, ...}, ... ] } ],
+//     "headline": ["m", ...],                              (optional)
+//     "checks": [ {"name": "...", "point": "...",          (optional)
+//                  "ok": bool, "observed": value}, ... ] }
 // Per-replica raw values make cross-run bit-identity checkable with a
 // plain diff; aggregate stats feed the perf-trajectory tooling.
+//
+// `headline` names the metrics that make up the bench's focused table
+// and `checks` holds its acceptance bar, one entry per check() call;
+// both are absent when the bench declares none, and readers that do not
+// know them ignore them.  `tools/esprof` renders both for any bench.
+//
+// Exit status: Harness::finish() returns 1 when any check failed --
+// including the artifact promises: a --json or --telemetry-out file that
+// could not be written, or a --telemetry-out context that recorded no
+// events and no metrics (no file is then left behind).  Every main ends
+// with `return harness.finish();`, so the bench's exit status is its
+// verdict.
 //
 // v2 (PR 5) adds the run-level performance envelope: every bench that
 // drives sim::Engine worlds calls record_events() with each world's
@@ -56,47 +73,6 @@
 #include "util/table.hpp"
 
 namespace eslurm::bench {
-
-/// Opt-in telemetry for a bench run.  If `--telemetry-out FILE` is
-/// present, this scope owns an enabled per-run context; pass `context()`
-/// into the worlds the bench builds (ExperimentConfig::telemetry or
-/// sim::Engine's constructor) and the combined trace+metrics artifact is
-/// written to FILE when the scope ends (load it in Perfetto, or
-/// summarize it with tools/esprof).  Without the flag the scope is inert
-/// and the run pays no telemetry cost.  The context serves one world at
-/// a time: attach it to sequential runs only, never concurrent ones.
-class TelemetryScope {
- public:
-  TelemetryScope(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      if (std::string(argv[i]) != "--telemetry-out") continue;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --telemetry-out requires a path argument\n");
-        std::exit(2);
-      }
-      path_ = argv[i + 1];
-      context_.enable();
-      break;
-    }
-  }
-  ~TelemetryScope() {
-    if (path_.empty()) return;
-    if (context_.save(path_))
-      std::printf("telemetry: wrote %s\n", path_.c_str());
-    else
-      std::fprintf(stderr, "telemetry: could not write %s\n", path_.c_str());
-  }
-  TelemetryScope(const TelemetryScope&) = delete;
-  TelemetryScope& operator=(const TelemetryScope&) = delete;
-
-  /// The context to inject into this bench's worlds; nullptr when the
-  /// flag was absent.
-  telemetry::Telemetry* context() { return path_.empty() ? nullptr : &context_; }
-
- private:
-  telemetry::Telemetry context_;
-  std::string path_;
-};
 
 /// Banner printed by every harness.  Also switches stdout to line
 /// buffering so long runs show progress when redirected to a file.
@@ -158,14 +134,16 @@ inline std::uint64_t peak_rss_bytes() {
 
 }  // namespace detail
 
-/// Uniform flag parsing + result recording for a bench harness.
-/// Construct at the top of main(), record every sweep point (or whole
-/// run_sweep outcome), and the destructor writes the JSON artifact.
+/// Uniform flag parsing, result recording and acceptance checks for a
+/// bench harness.  Construct at the top of main(), record every sweep
+/// point (or whole run_sweep outcome) and check() each acceptance bar,
+/// then end main with `return harness.finish();`, which writes the
+/// artifacts and turns the checks into the exit status.
 class Harness {
  public:
   Harness(std::string name, const std::string& paper_id,
           const std::string& what, int argc, char** argv)
-      : name_(std::move(name)), scope_(argc, argv) {
+      : name_(std::move(name)) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       auto value = [&](const char* flag) -> const char* {
@@ -183,7 +161,12 @@ class Harness {
       } else if (arg == "--json") {
         if (const char* v = value("--json")) json_out_ = v;
       } else if (arg == "--telemetry-out") {
-        ++i;  // handled (and validated) by the TelemetryScope
+        if (i + 1 >= argc) {
+          std::fprintf(stderr, "error: --telemetry-out requires a path argument\n");
+          std::exit(2);
+        }
+        telemetry_out_ = argv[++i];
+        telemetry_.enable();
       } else if (arg == "--telemetry-dir") {
         if (const char* v = value("--telemetry-dir")) telemetry_dir_ = v;
       } else {
@@ -193,7 +176,7 @@ class Harness {
     }
     // A context serves one world at a time: refuse the flag before any
     // world runs rather than leave the promised artifact unwritten.
-    if (jobs_ > 1 && scope_.context()) {
+    if (jobs_ > 1 && telemetry()) {
       std::fprintf(stderr,
                    "error: --telemetry-out records one world at a time and cannot "
                    "be combined with --jobs > 1 (use --telemetry-dir)\n");
@@ -202,7 +185,6 @@ class Harness {
     banner(paper_id, what);
   }
 
-  ~Harness() { write_json(); }
   Harness(const Harness&) = delete;
   Harness& operator=(const Harness&) = delete;
 
@@ -212,9 +194,13 @@ class Harness {
   int replicas() const { return replicas_; }
 
   /// The single-artifact telemetry context (--telemetry-out); nullptr
-  /// when absent.  The flag is refused with --jobs > 1, so a context is
-  /// only ever handed to sequential runs.
-  telemetry::Telemetry* telemetry() { return scope_.context(); }
+  /// when absent.  Pass it into the worlds the bench builds
+  /// (ExperimentConfig::telemetry or sim::Engine's constructor); the
+  /// flag is refused with --jobs > 1, so a context is only ever handed
+  /// to sequential runs.
+  telemetry::Telemetry* telemetry() {
+    return telemetry_out_.empty() ? nullptr : &telemetry_;
+  }
 
   /// SweepSpec pre-filled with this run's --jobs/--replicas, the
   /// per-point artifact directory (--telemetry-dir) and, for a sequential
@@ -256,9 +242,61 @@ class Harness {
     points_.push_back(std::move(outcome));
   }
 
+  /// Names the metrics that make up this bench's focused table
+  /// (`headline` in the JSON artifact).
+  void headline(std::vector<std::string> metrics) { headline_ = std::move(metrics); }
+
+  /// Records one acceptance check: `name` held (`ok`) or not at `point`,
+  /// with the value it was judged on.  Not thread-safe: call it from
+  /// main(), not from sweep workers.
+  void check(std::string point, std::string name, bool ok, double observed) {
+    checks_.push_back({std::move(point), std::move(name), ok, observed});
+  }
+
+  /// Writes the artifacts, prints one line per failed check plus an
+  /// "N/M checks ok" summary (when any check was recorded), and returns
+  /// the exit status: 1 when any check failed, else 0.  A promised
+  /// artifact that cannot be written, or an empty --telemetry-out
+  /// context, is a failed check; no file is left behind for either.
+  [[nodiscard]] int finish() {
+    std::size_t recorded = 0;
+    if (telemetry()) {
+      recorded = telemetry_.tracer.event_count() + telemetry_.metrics.size();
+      check("run", "telemetry-out recorded events or metrics", recorded > 0,
+            static_cast<double>(recorded));
+    }
+    if (!json_out_.empty())
+      write_artifact("bench", json_path(),
+                     [this](const std::string& path) { return write_json(path); });
+    if (recorded > 0)
+      write_artifact("telemetry", telemetry_out_, [this](const std::string& path) {
+        return telemetry_.save(path);
+      });
+
+    std::size_t passed = 0;
+    for (const Check& c : checks_) {
+      if (c.ok) {
+        ++passed;
+        continue;
+      }
+      std::printf("check FAILED at %s: %s (observed %s)\n", c.point.c_str(),
+                  c.name.c_str(), format_double(c.observed, 6).c_str());
+    }
+    if (!checks_.empty())
+      std::printf("%zu/%zu checks ok\n", passed, checks_.size());
+    return passed == checks_.size() ? 0 : 1;
+  }
+
  private:
-  void write_json() const {
-    if (json_out_.empty()) return;
+  struct Check {
+    std::string point;
+    std::string name;
+    bool ok = false;
+    double observed = 0.0;
+  };
+
+  /// --json OUT names the file when it ends in .json, else a directory.
+  std::string json_path() const {
     namespace fs = std::filesystem;
     fs::path path(json_out_);
     std::error_code ec;
@@ -268,11 +306,27 @@ class Harness {
     } else if (path.has_parent_path()) {
       fs::create_directories(path.parent_path(), ec);
     }
-    std::ofstream os(path);
-    if (!os) {
-      std::fprintf(stderr, "bench: could not write %s\n", path.c_str());
+    return path.string();
+  }
+
+  /// Writes one artifact through `write(path)`.  A failed write is a
+  /// failed check, and whatever part of a file it created is removed.
+  template <typename Write>
+  void write_artifact(const char* kind, const std::string& path, Write write) {
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    if (write(path)) {
+      std::printf("%s: wrote %s\n", kind, path.c_str());
       return;
     }
+    if (!existed) std::filesystem::remove(path, ec);
+    std::fprintf(stderr, "%s: could not write %s\n", kind, path.c_str());
+    check("run", std::string(kind) + " artifact written", false, 0.0);
+  }
+
+  bool write_json(const std::string& path) const {
+    std::ofstream os(path);
+    if (!os) return false;
     using detail::json_escape;
     using detail::json_number;
     const double wall = std::chrono::duration<double>(
@@ -320,18 +374,41 @@ class Harness {
       }
       os << "]}";
     }
-    os << "\n  ]\n}\n";
-    std::printf("bench: wrote %s\n", path.c_str());
+    os << "\n  ]";
+    if (!headline_.empty()) {
+      os << ",\n  \"headline\": [";
+      for (std::size_t h = 0; h < headline_.size(); ++h)
+        os << (h ? ", \"" : "\"") << json_escape(headline_[h]) << '"';
+      os << ']';
+    }
+    if (!checks_.empty()) {
+      os << ",\n  \"checks\": [";
+      for (std::size_t c = 0; c < checks_.size(); ++c) {
+        const Check& entry = checks_[c];
+        os << (c ? ",\n    {" : "\n    {") << "\"name\": \""
+           << json_escape(entry.name) << "\", \"point\": \""
+           << json_escape(entry.point)
+           << "\", \"ok\": " << (entry.ok ? "true" : "false")
+           << ", \"observed\": " << json_number(entry.observed) << '}';
+      }
+      os << "\n  ]";
+    }
+    os << "\n}\n";
+    os.close();
+    return static_cast<bool>(os);
   }
 
   std::string name_;
-  TelemetryScope scope_;
+  telemetry::Telemetry telemetry_;
+  std::string telemetry_out_;
   bool smoke_ = false;
   int jobs_ = 1;
   int replicas_ = 1;
   std::string json_out_;
   std::string telemetry_dir_;
   std::vector<core::PointOutcome> points_;
+  std::vector<std::string> headline_;
+  std::vector<Check> checks_;
   std::atomic<std::uint64_t> total_events_{0};
   std::chrono::steady_clock::time_point start_ = std::chrono::steady_clock::now();
 };

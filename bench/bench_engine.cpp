@@ -134,5 +134,5 @@ int main(int argc, char** argv) {
   table.add_row({"watchdog arm+cancel", format_double(watchdog_eps, 0)});
   table.add_row({"fanout x64", format_double(fanout_eps, 0)});
   table.print();
-  return 0;
+  return harness.finish();
 }

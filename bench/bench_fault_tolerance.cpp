@@ -14,7 +14,7 @@
 //                failure-aware node selection that steers new jobs away
 //                from predicted-failing / failure-prone nodes.
 //
-// Headline invariants, asserted by the CI smoke run on this artifact:
+// Headline invariants, checked by the bench; a failure exits 1:
 //   * baseline reports jobs_failed > 0 at every sweep point (the
 //     failure pressure is real);
 //   * every retry arm reports jobs_failed == 0: no job is permanently
@@ -23,6 +23,8 @@
 //     +placement, and +placement loses less than baseline.
 // The sweep shows the actual trade-off: checkpoint overhead and backoff
 // waits buy goodput and survival.
+#include <iterator>
+
 #include "bench_common.hpp"
 
 using namespace eslurm;
@@ -212,8 +214,29 @@ int main(int argc, char** argv) {
          {"avg_wait_s", cell.avg_wait_s}});
   }
   table.print();
-  std::printf("[baseline must fail jobs at every point; retry arms must "
-              "report failed = 0; lost node-s must strictly decrease "
-              "retry -> retry+ckpt -> +placement]\n");
-  return 0;
+
+  // Each (mtbf, drop) point is four consecutive cells in kArms order.
+  static_assert(std::size(kArms) == 4);
+  for (std::size_t g = 0; g < cells.size(); g += std::size(kArms)) {
+    const Cell* arm = &cells[g];  // baseline, retry, retry+ckpt, +placement
+    const std::string point =
+        "mtbf=" + count(arm->mtbf_hours) + "h/drop=" + fixed(arm->drop_prob, 2);
+    harness.check(point, "baseline jobs_failed > 0", arm[0].jobs_failed > 0.0,
+                  arm[0].jobs_failed);
+    for (int a = 1; a < 4; ++a)
+      harness.check(point, std::string(arm[a].arm->name) + " jobs_failed == 0",
+                    arm[a].jobs_failed == 0.0, arm[a].jobs_failed);
+    for (int a = 2; a < 4; ++a)
+      harness.check(point,
+                    std::string("lost_node_seconds ") + arm[a].arm->name + " < " +
+                        arm[a - 1].arm->name,
+                    arm[a].lost_node_seconds < arm[a - 1].lost_node_seconds,
+                    arm[a].lost_node_seconds);
+    harness.check(point, "lost_node_seconds +placement < baseline",
+                  arm[3].lost_node_seconds < arm[0].lost_node_seconds,
+                  arm[3].lost_node_seconds);
+  }
+  harness.headline({"jobs_completed", "jobs_failed", "failure_rate",
+                    "lost_node_seconds", "ckpt_node_seconds", "goodput"});
+  return harness.finish();
 }

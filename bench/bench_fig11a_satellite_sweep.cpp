@@ -71,5 +71,5 @@ int main(int argc, char** argv) {
   harness.record_sweep(outcomes);
   std::printf("\n[paper: minimum around 20 satellites at 20K+ nodes -> the rule of\n"
               " one satellite per ~5K compute nodes]\n");
-  return 0;
+  return harness.finish();
 }

@@ -217,5 +217,5 @@ int main(int argc, char** argv) {
   const int rounds = harness.smoke() ? 3 : 10;
   fig8a(harness, nodes, rounds);
   fig8b(harness, nodes);
-  return 0;
+  return harness.finish();
 }

@@ -115,5 +115,5 @@ int main(int argc, char** argv) {
   sat.print();
   harness.record_sweep(outcomes);
   std::printf("[paper: balanced load; ~50 CPU min each; ~80 MB RSS; < 80 sockets]\n");
-  return 0;
+  return harness.finish();
 }

@@ -164,5 +164,5 @@ int main(int argc, char** argv) {
               " sub-second.  Expect the centralized rows to degrade super-\n"
               " linearly with users while eslurm stays flat with >50%% of\n"
               " requests served off-master at the largest sweep point.]\n");
-  return 0;
+  return harness.finish();
 }

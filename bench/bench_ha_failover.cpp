@@ -6,12 +6,14 @@
 // the standby is in flight) -- for each snapshot cadence.  The standby
 // satellite promotes itself from the replicated snapshot plus WAL tail.
 //
-// Headline invariants, asserted by the CI smoke run on this artifact:
+// Headline invariants, checked by the bench; a failure exits 1:
 //   * jobs_lost == 0 at every point: every job whose submission the
 //     master acked (WAL record replicated + acked) reaches a terminal
 //     state on the promoted master;
 //   * duplicate_launches == 0 at every point: recovery never starts a
-//     job that is already running on the compute plane.
+//     job that is already running on the compute plane;
+//   * promotions == 1 and takeover_ms > 0 at every point: the standby
+//     really took over, exactly once.
 // The cadence sweep shows the actual trade-off: longer snapshot
 // intervals leave a longer WAL tail to replay (replay_records,
 // takeover_ms grow), never lost jobs.
@@ -167,8 +169,9 @@ int main(int argc, char** argv) {
                    fixed(cell.detection_ms, 1), fixed(cell.takeover_ms, 1),
                    count(cell.replay_records), count(cell.wal_bytes),
                    count(cell.snapshot_bytes)});
+    const std::string label = "snap=" + count(cell.cadence_s) + "s/" + cell.scenario;
     harness.record_point(
-        "snap=" + count(cell.cadence_s) + "s/" + cell.scenario,
+        label,
         {{"snapshot_interval_s", count(cell.cadence_s)},
          {"scenario", cell.scenario},
          {"kill_s", format_double(cell.kill_s, 2)},
@@ -184,10 +187,13 @@ int main(int argc, char** argv) {
          {"replay_records_per_sec", cell.replay_records_per_sec},
          {"wal_bytes", cell.wal_bytes},
          {"snapshot_bytes", cell.snapshot_bytes}});
+    harness.check(label, "jobs_lost == 0", cell.jobs_lost == 0.0, cell.jobs_lost);
+    harness.check(label, "duplicate_launches == 0", cell.duplicate_launches == 0.0,
+                  cell.duplicate_launches);
+    harness.check(label, "promotions == 1", cell.promotions == 1.0, cell.promotions);
+    harness.check(label, "takeover_ms > 0", cell.takeover_ms > 0.0, cell.takeover_ms);
   }
   table.print();
-  std::printf("[every row must report lost = 0 and dup launch = 0; longer "
-              "snapshot cadences trade a longer WAL replay (replayed, "
-              "takeover ms) for fewer snapshot pushes]\n");
-  return 0;
+  harness.headline({"jobs_lost", "duplicate_launches", "takeover_ms", "wal_bytes"});
+  return harness.finish();
 }

@@ -12,12 +12,17 @@
 //                                     # column per artifact, counters /
 //                                     # gauges / histogram means side by
 //                                     # side (e.g. a sweep's points)
-//   esprof BENCH_engine.json          # bench artifact (--json) summary
+//   esprof BENCH_engine.json          # bench artifact (--json) summary:
+//                                     # run-level envelope, the bench's
+//                                     # headline table and checks, and
+//                                     # per-point metric means
 //   esprof before/BENCH_engine.json after/BENCH_engine.json
 //                                     # bench diff: run-level envelope
-//                                     # (events/sec, wall, peak RSS) and
-//                                     # per-point metric means side by
-//                                     # side, with after/before ratios
+//                                     # (events/sec, wall, peak RSS),
+//                                     # headline fields and per-point
+//                                     # metric means side by side, with
+//                                     # after/before ratios, then each
+//                                     # artifact's check summary
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -301,371 +306,147 @@ std::map<std::string, double> bench_point_means(const JsonValue& document) {
   return out;
 }
 
-// --- the HA failover sweep (BENCH_ha_failover.json) ---------------------
-//
-// This artifact carries two hard invariants -- jobs_lost == 0 and
-// duplicate_launches == 0 at every sweep point -- so instead of leaving
-// them buried in the generic means grid, surface a focused table of the
-// headline fields and an explicit verdict line.
+/// Diff-mode rows: a key and one value per artifact ("-" when absent).
+using ColumnRows = std::vector<std::pair<std::string, std::vector<std::optional<double>>>>;
 
-bool is_ha_failover_bench(const JsonValue& document) {
-  return member_string(document, "bench") == "ha_failover";
+/// One row per key and one column per artifact, plus a last/first ratio
+/// column when there are exactly two artifacts.
+void print_columns(const char* heading, const char* key_header,
+                   const std::vector<Artifact>& artifacts, ColumnRows rows) {
+  if (rows.empty()) return;
+  const bool ratio = artifacts.size() == 2;
+  std::vector<std::string> header{key_header};
+  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
+  if (ratio) header.push_back("ratio");
+  std::printf("%s\n", heading);
+  Table table(header);
+  for (auto& [key, values] : rows) {
+    values.resize(artifacts.size());
+    std::vector<std::string> cells{key};
+    for (const auto& value : values)
+      cells.push_back(value ? format_double(*value, 6) : "-");
+    if (ratio)
+      cells.push_back(values[0] && values[1] && *values[0] != 0.0
+                          ? format_double(*values[1] / *values[0], 4)
+                          : "-");
+    table.add_row(std::move(cells));
+  }
+  table.print();
+  std::printf("\n");
 }
 
-constexpr const char* kFailoverFields[] = {"jobs_lost", "duplicate_launches",
-                                           "takeover_ms", "wal_bytes"};
+// --- the bench's own headline and acceptance checks ----------------------
+//
+// A bench names its focused metrics in "headline" and records its
+// acceptance bar in "checks" (bench/bench_common.hpp); artifacts written
+// before either key existed simply skip these sections.
 
-/// label -> (field -> mean) for a headline field subset, in point order.
-template <std::size_t N>
-std::vector<std::pair<std::string, std::map<std::string, double>>>
-headline_points(const JsonValue& document, const char* const (&wanted)[N]) {
+std::vector<std::string> bench_headline(const JsonValue& document) {
+  std::vector<std::string> names;
+  const JsonValue* headline = document.find("headline");
+  if (!headline || !headline->is_array()) return names;
+  for (const JsonValue& name : headline->items())
+    if (name.is_string()) names.push_back(name.as_string());
+  return names;
+}
+
+/// Mean of `field` at each point that reports it, in point order.
+std::vector<std::pair<std::string, std::map<std::string, double>>> headline_points(
+    const JsonValue& document, const std::vector<std::string>& fields) {
   std::vector<std::pair<std::string, std::map<std::string, double>>> out;
   const JsonValue* points = document.find("points");
   if (!points || !points->is_array()) return out;
   for (const JsonValue& point : points->items()) {
-    if (!point.is_object()) continue;
-    const JsonValue* metrics = point.find("metrics");
+    const JsonValue* metrics = point.is_object() ? point.find("metrics") : nullptr;
     if (!metrics || !metrics->is_object()) continue;
-    std::map<std::string, double> fields;
-    for (const char* field : wanted)
+    std::map<std::string, double> values;
+    for (const std::string& field : fields)
       if (const JsonValue* stats = metrics->find(field))
-        fields[field] = member_number(*stats, "mean");
-    out.emplace_back(member_string(point, "label"), std::move(fields));
+        values[field] = member_number(*stats, "mean");
+    out.emplace_back(member_string(point, "label"), std::move(values));
   }
   return out;
 }
 
-std::vector<std::pair<std::string, std::map<std::string, double>>>
-failover_points(const JsonValue& document) {
-  return headline_points(document, kFailoverFields);
-}
-
-void print_failover_verdict(
-    const std::vector<std::pair<std::string, std::map<std::string, double>>>&
-        points) {
-  std::size_t violations = 0;
-  for (const auto& [label, fields] : points) {
-    const auto lost = fields.find("jobs_lost");
-    const auto dup = fields.find("duplicate_launches");
-    if ((lost != fields.end() && lost->second != 0.0) ||
-        (dup != fields.end() && dup->second != 0.0)) {
-      ++violations;
-      std::printf("  VIOLATED at %s\n", label.c_str());
+/// One line per failed check, then "N/M checks ok"; false when the
+/// artifact records no checks.
+bool print_checks(const JsonValue& document) {
+  const JsonValue* checks = document.find("checks");
+  if (!checks || !checks->is_array()) return false;
+  std::size_t passed = 0;
+  for (const JsonValue& check : checks->items()) {
+    const JsonValue* ok = check.find("ok");
+    if (ok && ok->is_bool() && ok->as_bool()) {
+      ++passed;
+      continue;
     }
+    const JsonValue* observed = check.find("observed");
+    std::printf("  check FAILED at %s: %s (observed %s)\n",
+                member_string(check, "point").c_str(),
+                member_string(check, "name").c_str(),
+                observed && observed->is_number()
+                    ? format_double(observed->as_number(), 6).c_str()
+                    : "-");
   }
-  if (violations == 0)
-    std::printf("failover invariants: OK (jobs_lost == 0 and "
-                "duplicate_launches == 0 at all %zu points)\n\n",
-                points.size());
-  else
-    std::printf("failover invariants: VIOLATED at %zu of %zu points\n\n",
-                violations, points.size());
+  std::printf("%zu/%zu checks ok\n\n", passed, checks->items().size());
+  return true;
 }
 
-void summarize_failover(const JsonValue& document) {
-  const auto points = failover_points(document);
-  if (points.empty()) return;
-  std::printf("failover headline (per point)\n");
-  Table table({"point", "jobs lost", "dup launches", "takeover (ms)",
-               "wal bytes"});
-  for (const auto& [label, fields] : points) {
-    std::vector<std::string> row{label};
-    for (const char* field : kFailoverFields) {
-      const auto it = fields.find(field);
-      row.push_back(it != fields.end() ? format_double(it->second, 6) : "-");
+void summarize_headline(const JsonValue& document) {
+  const std::vector<std::string> fields = bench_headline(document);
+  if (!fields.empty()) {
+    std::vector<std::string> header{"point"};
+    header.insert(header.end(), fields.begin(), fields.end());
+    Table table(header);
+    for (const auto& [label, values] : headline_points(document, fields)) {
+      std::vector<std::string> row{label};
+      for (const std::string& field : fields) {
+        const auto it = values.find(field);
+        row.push_back(it != values.end() ? format_double(it->second, 6) : "-");
+      }
+      table.add_row(std::move(row));
     }
-    table.add_row(std::move(row));
+    std::printf("headline (per point)\n");
+    table.print();
+    std::printf("\n");
   }
-  table.print();
-  print_failover_verdict(points);
+  print_checks(document);
 }
 
-/// Diff counterpart: headline fields side by side per artifact, then one
-/// verdict line per artifact.
-void diff_failover(const std::vector<Artifact>& artifacts) {
-  std::vector<std::string> header{"point :: field"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  const bool ratio = artifacts.size() == 2;
-  if (ratio) header.push_back("ratio");
+/// Diff counterpart: the union of the artifacts' headline fields side by
+/// side per point (an artifact that declares none still shows its values
+/// for the others' fields), then one check summary per artifact.
+void diff_headline(const std::vector<Artifact>& artifacts) {
+  std::vector<std::string> fields;
+  for (const Artifact& artifact : artifacts)
+    for (const std::string& field : bench_headline(artifact.document))
+      if (std::find(fields.begin(), fields.end(), field) == fields.end())
+        fields.push_back(field);
 
-  std::map<std::string, std::vector<std::optional<double>>> rows;
-  std::vector<std::string> order;
+  // Rows in first-seen point order, so the table reads like the sweep.
+  ColumnRows rows;
+  std::map<std::string, std::size_t> row_of;
   for (std::size_t a = 0; a < artifacts.size(); ++a) {
-    for (const auto& [label, fields] : failover_points(artifacts[a].document)) {
-      for (const char* field : kFailoverFields) {
-        const auto it = fields.find(field);
-        if (it == fields.end()) continue;
-        const std::string key = label + " :: " + field;
-        auto [entry, inserted] = rows.try_emplace(key);
-        if (inserted) order.push_back(key);
-        entry->second.resize(artifacts.size());
-        entry->second[a] = it->second;
+    for (const auto& [label, values] : headline_points(artifacts[a].document, fields)) {
+      for (const std::string& field : fields) {
+        const auto it = values.find(field);
+        if (it == values.end()) continue;
+        const auto [entry, inserted] =
+            row_of.try_emplace(label + " :: " + field, rows.size());
+        if (inserted) rows.emplace_back(entry->first, artifacts.size());
+        rows[entry->second].second[a] = it->second;
       }
     }
   }
-  if (rows.empty()) return;
-  std::printf("failover headline (per point)\n");
-  Table table(header);
-  for (const std::string& key : order) {
-    auto& values = rows[key];
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
+  print_columns("headline (per point)", "point :: field", artifacts, std::move(rows));
+
+  if (std::none_of(artifacts.begin(), artifacts.end(), [](const Artifact& artifact) {
+        return artifact.document.find("checks") != nullptr;
+      }))
+    return;
   for (const Artifact& artifact : artifacts) {
-    std::printf("%s: ", artifact.label.c_str());
-    print_failover_verdict(failover_points(artifact.document));
-  }
-}
-
-// --- the scheduler policy suite (BENCH_policy_suite.json) ---------------
-//
-// Per-QoS-class headline: the sweep's whole point is the per-class wait
-// split and three hard invariants (limit_violations == 0,
-// reservation_intrusions == 0, jobs_lost == 0), so surface them as a
-// focused table plus a verdict line, like the failover artifact.
-
-bool is_policy_suite_bench(const JsonValue& document) {
-  return member_string(document, "bench") == "policy_suite";
-}
-
-constexpr const char* kPolicyFields[] = {
-    "wait_p95_high_s", "wait_p95_normal_s",      "wait_p95_low_s",
-    "bsld_high",       "limit_violations",       "reservation_intrusions",
-    "preempt_requeues", "jobs_lost"};
-
-void print_policy_verdict(
-    const std::vector<std::pair<std::string, std::map<std::string, double>>>&
-        points) {
-  std::size_t violations = 0;
-  for (const auto& [label, fields] : points) {
-    for (const char* invariant :
-         {"limit_violations", "reservation_intrusions", "jobs_lost"}) {
-      const auto it = fields.find(invariant);
-      if (it != fields.end() && it->second != 0.0) {
-        ++violations;
-        std::printf("  VIOLATED at %s (%s = %g)\n", label.c_str(), invariant,
-                    it->second);
-      }
-    }
-  }
-  if (violations == 0)
-    std::printf("policy invariants: OK (limit_violations, "
-                "reservation_intrusions and jobs_lost all 0 at all %zu "
-                "points)\n\n",
-                points.size());
-  else
-    std::printf("policy invariants: VIOLATED %zu time(s) across %zu points\n\n",
-                violations, points.size());
-}
-
-void summarize_policy(const JsonValue& document) {
-  const auto points = headline_points(document, kPolicyFields);
-  if (points.empty()) return;
-  std::printf("per-QoS-class headline (per arm/mix point)\n");
-  Table table({"point", "hi p95 w(s)", "no p95 w(s)", "lo p95 w(s)", "hi bsld",
-               "limit viol", "resv intr", "preempt rq", "lost"});
-  for (const auto& [label, fields] : points) {
-    std::vector<std::string> row{label};
-    for (const char* field : kPolicyFields) {
-      const auto it = fields.find(field);
-      row.push_back(it != fields.end() ? format_double(it->second, 6) : "-");
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
-  print_policy_verdict(points);
-}
-
-/// Diff counterpart: per-class fields side by side, verdict per artifact.
-void diff_policy(const std::vector<Artifact>& artifacts) {
-  std::vector<std::string> header{"point :: field"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  const bool ratio = artifacts.size() == 2;
-  if (ratio) header.push_back("ratio");
-
-  std::map<std::string, std::vector<std::optional<double>>> rows;
-  std::vector<std::string> order;
-  for (std::size_t a = 0; a < artifacts.size(); ++a) {
-    for (const auto& [label, fields] :
-         headline_points(artifacts[a].document, kPolicyFields)) {
-      for (const char* field : kPolicyFields) {
-        const auto it = fields.find(field);
-        if (it == fields.end()) continue;
-        const std::string key = label + " :: " + field;
-        auto [entry, inserted] = rows.try_emplace(key);
-        if (inserted) order.push_back(key);
-        entry->second.resize(artifacts.size());
-        entry->second[a] = it->second;
-      }
-    }
-  }
-  if (rows.empty()) return;
-  std::printf("per-QoS-class headline (per arm/mix point)\n");
-  Table table(header);
-  for (const std::string& key : order) {
-    auto& values = rows[key];
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
-  for (const Artifact& artifact : artifacts) {
-    std::printf("%s: ", artifact.label.c_str());
-    print_policy_verdict(headline_points(artifact.document, kPolicyFields));
-  }
-}
-
-// --- the fault-tolerance sweep (BENCH_fault_tolerance.json) -------------
-//
-// Four recovery arms per (mtbf, drop) point, with three hard invariants
-// across the arms of each point: baseline must fail jobs (the failure
-// pressure is real), every retry arm must fail zero, and lost
-// node-seconds must strictly decrease retry -> retry+ckpt -> +placement
-// (with +placement beating baseline).  Surface the headline fields and
-// an explicit verdict, like the failover artifact.
-
-bool is_fault_tolerance_bench(const JsonValue& document) {
-  return member_string(document, "bench") == "fault_tolerance";
-}
-
-constexpr const char* kFaultFields[] = {"jobs_completed",    "jobs_failed",
-                                        "failure_rate",      "lost_node_seconds",
-                                        "ckpt_node_seconds", "goodput"};
-
-void print_fault_verdict(
-    const std::vector<std::pair<std::string, std::map<std::string, double>>>&
-        points) {
-  // Point labels are "mtbf=24h/drop=0.00/<arm>": group the four arms of
-  // each sweep point by the label prefix before the last '/'.
-  std::map<std::string, std::map<std::string, std::map<std::string, double>>>
-      groups;
-  for (const auto& [label, fields] : points) {
-    const std::size_t slash = label.rfind('/');
-    if (slash == std::string::npos) continue;
-    groups[label.substr(0, slash)][label.substr(slash + 1)] = fields;
-  }
-  const auto metric = [](const std::map<std::string, double>& fields,
-                         const char* key) -> std::optional<double> {
-    const auto it = fields.find(key);
-    return it != fields.end() ? std::optional<double>(it->second) : std::nullopt;
-  };
-  std::size_t violations = 0;
-  const auto violated = [&](const std::string& point, const char* what) {
-    ++violations;
-    std::printf("  VIOLATED at %s (%s)\n", point.c_str(), what);
-  };
-  for (const auto& [point, arms] : groups) {
-    std::optional<double> base_failed, base_lost;
-    if (const auto it = arms.find("baseline"); it != arms.end()) {
-      base_failed = metric(it->second, "jobs_failed");
-      base_lost = metric(it->second, "lost_node_seconds");
-    }
-    if (base_failed && *base_failed <= 0.0)
-      violated(point, "baseline failed no jobs");
-    std::optional<double> prev_lost;
-    for (const char* arm : {"retry", "retry+ckpt", "+placement"}) {
-      const auto it = arms.find(arm);
-      if (it == arms.end()) continue;
-      if (const auto failed = metric(it->second, "jobs_failed");
-          failed && *failed != 0.0)
-        violated(point, (std::string(arm) + " failed jobs").c_str());
-      const auto lost = metric(it->second, "lost_node_seconds");
-      if (lost && prev_lost && *lost >= *prev_lost)
-        violated(point,
-                 (std::string("lost node-s not decreasing at ") + arm).c_str());
-      if (lost) prev_lost = lost;
-    }
-    if (prev_lost && base_lost && *prev_lost >= *base_lost)
-      violated(point, "+placement lost no less than baseline");
-  }
-  if (violations == 0)
-    std::printf("fault-tolerance invariants: OK (baseline fails, retry arms "
-                "lose no jobs, lost node-s strictly decreases across arms at "
-                "all %zu points)\n\n",
-                groups.size());
-  else
-    std::printf("fault-tolerance invariants: VIOLATED %zu time(s) across %zu "
-                "points\n\n",
-                violations, groups.size());
-}
-
-void summarize_fault(const JsonValue& document) {
-  const auto points = headline_points(document, kFaultFields);
-  if (points.empty()) return;
-  std::printf("fault-tolerance headline (per arm point)\n");
-  Table table({"point", "completed", "failed", "fail rate", "lost node-s",
-               "ckpt node-s", "goodput"});
-  for (const auto& [label, fields] : points) {
-    std::vector<std::string> row{label};
-    for (const char* field : kFaultFields) {
-      const auto it = fields.find(field);
-      row.push_back(it != fields.end() ? format_double(it->second, 6) : "-");
-    }
-    table.add_row(std::move(row));
-  }
-  table.print();
-  print_fault_verdict(points);
-}
-
-/// Diff counterpart: headline fields side by side, verdict per artifact.
-void diff_fault(const std::vector<Artifact>& artifacts) {
-  std::vector<std::string> header{"point :: field"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  const bool ratio = artifacts.size() == 2;
-  if (ratio) header.push_back("ratio");
-
-  std::map<std::string, std::vector<std::optional<double>>> rows;
-  std::vector<std::string> order;
-  for (std::size_t a = 0; a < artifacts.size(); ++a) {
-    for (const auto& [label, fields] :
-         headline_points(artifacts[a].document, kFaultFields)) {
-      for (const char* field : kFaultFields) {
-        const auto it = fields.find(field);
-        if (it == fields.end()) continue;
-        const std::string key = label + " :: " + field;
-        auto [entry, inserted] = rows.try_emplace(key);
-        if (inserted) order.push_back(key);
-        entry->second.resize(artifacts.size());
-        entry->second[a] = it->second;
-      }
-    }
-  }
-  if (rows.empty()) return;
-  std::printf("fault-tolerance headline (per arm point)\n");
-  Table table(header);
-  for (const std::string& key : order) {
-    auto& values = rows[key];
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
-  for (const Artifact& artifact : artifacts) {
-    std::printf("%s: ", artifact.label.c_str());
-    print_fault_verdict(headline_points(artifact.document, kFaultFields));
+    std::printf("%s checks:\n", artifact.label.c_str());
+    if (!print_checks(artifact.document)) std::printf("none recorded\n\n");
   }
 }
 
@@ -685,9 +466,7 @@ void summarize_bench(const Artifact& artifact) {
   }
   run.print();
   std::printf("\n");
-  if (is_ha_failover_bench(document)) summarize_failover(document);
-  if (is_policy_suite_bench(document)) summarize_policy(document);
-  if (is_fault_tolerance_bench(document)) summarize_fault(document);
+  summarize_headline(document);
   const auto means = bench_point_means(document);
   if (means.empty()) return;
   std::printf("point metric means\n");
@@ -732,21 +511,7 @@ void diff_bench(const std::vector<Artifact>& artifacts) {
   run.print();
   std::printf("\n");
 
-  if (std::all_of(artifacts.begin(), artifacts.end(),
-                  [](const Artifact& artifact) {
-                    return is_ha_failover_bench(artifact.document);
-                  }))
-    diff_failover(artifacts);
-  if (std::all_of(artifacts.begin(), artifacts.end(),
-                  [](const Artifact& artifact) {
-                    return is_policy_suite_bench(artifact.document);
-                  }))
-    diff_policy(artifacts);
-  if (std::all_of(artifacts.begin(), artifacts.end(),
-                  [](const Artifact& artifact) {
-                    return is_fault_tolerance_bench(artifact.document);
-                  }))
-    diff_fault(artifacts);
+  diff_headline(artifacts);
 
   // Union of "label :: metric" rows across all artifacts.
   std::map<std::string, std::vector<std::optional<double>>> rows;
@@ -757,25 +522,8 @@ void diff_bench(const std::vector<Artifact>& artifacts) {
       row[a] = mean;
     }
   }
-  if (rows.empty()) return;
-  std::vector<std::string> point_header{"point :: metric"};
-  for (const Artifact& artifact : artifacts) point_header.push_back(artifact.label);
-  if (ratio) point_header.push_back("ratio");
-  std::printf("point metric means\n");
-  Table table(point_header);
-  for (auto& [key, values] : rows) {
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
+  print_columns("point metric means", "point :: metric", artifacts,
+                ColumnRows(rows.begin(), rows.end()));
 }
 
 }  // namespace
