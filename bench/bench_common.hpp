@@ -7,6 +7,7 @@
 //   --smoke              reduced sweep for CI (small cluster, few points)
 //   --jobs N             run sweep points/replicas on N worker threads
 //   --replicas N         seed replicas per sweep point (mean +/- stddev)
+//                        (for both, N other than a whole number >= 1 exits 2)
 //   --json OUT           write a BENCH_<name>.json artifact; OUT is the
 //                        file path (when it ends in .json) or a directory
 //   --telemetry-out FILE single combined trace+metrics artifact (one
@@ -35,10 +36,11 @@
 //
 // Exit status: Harness::finish() returns 1 when any check failed --
 // including the artifact promises: a --json or --telemetry-out file that
-// could not be written, or a --telemetry-out context that recorded no
-// events and no metrics (no file is then left behind).  Every main ends
-// with `return harness.finish();`, so the bench's exit status is its
-// verdict.
+// could not be written, a --telemetry-out context that recorded no
+// events and no metrics (no file is then left behind), or a
+// --telemetry-dir run with a point that has no per-point artifact.
+// Every main ends with `return harness.finish();`, so the bench's exit
+// status is its verdict.
 //
 // v2 (PR 5) adds the run-level performance envelope: every bench that
 // drives sim::Engine worlds calls record_events() with each world's
@@ -50,11 +52,14 @@
 // these fields across artifacts.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -154,10 +159,10 @@ class Harness {
       if (arg == "--smoke") {
         smoke_ = true;
       } else if (arg == "--jobs") {
-        if (const char* v = value("--jobs")) jobs_ = std::max(1, std::atoi(v));
+        if (const char* v = value("--jobs")) jobs_ = positive_count("--jobs", v);
       } else if (arg == "--replicas") {
         if (const char* v = value("--replicas"))
-          replicas_ = std::max(1, std::atoi(v));
+          replicas_ = positive_count("--replicas", v);
       } else if (arg == "--json") {
         if (const char* v = value("--json")) json_out_ = v;
       } else if (arg == "--telemetry-out") {
@@ -256,14 +261,24 @@ class Harness {
   /// Writes the artifacts, prints one line per failed check plus an
   /// "N/M checks ok" summary (when any check was recorded), and returns
   /// the exit status: 1 when any check failed, else 0.  A promised
-  /// artifact that cannot be written, or an empty --telemetry-out
-  /// context, is a failed check; no file is left behind for either.
+  /// artifact that cannot be written, an empty --telemetry-out context or
+  /// a --telemetry-dir point without its artifact is a failed check; no
+  /// file is left behind for the first two.
   [[nodiscard]] int finish() {
     std::size_t recorded = 0;
     if (telemetry()) {
       recorded = telemetry_.tracer.event_count() + telemetry_.metrics.size();
       check("run", "telemetry-out recorded events or metrics", recorded > 0,
             static_cast<double>(recorded));
+    }
+    if (!telemetry_dir_.empty()) {
+      // Only run_sweep writes per-point artifacts: a point recorded any
+      // other way, or one whose save failed, carries no path.
+      const auto missing = std::count_if(
+          points_.begin(), points_.end(),
+          [](const core::PointOutcome& point) { return point.telemetry_path.empty(); });
+      check("run", "telemetry-dir artifact written", missing == 0,
+            static_cast<double>(missing));
     }
     if (!json_out_.empty())
       write_artifact("bench", json_path(),
@@ -294,6 +309,20 @@ class Harness {
     bool ok = false;
     double observed = 0.0;
   };
+
+  /// The value of a count flag (--jobs, --replicas): a whole positive
+  /// number, else the run stops with exit status 2 before any world runs.
+  static int positive_count(const char* flag, const char* text) {
+    const char* last = text + std::strlen(text);
+    int count = 0;
+    const auto [end, error] = std::from_chars(text, last, count);
+    if (error != std::errc() || end != last || count < 1) {
+      std::fprintf(stderr, "error: %s needs a whole positive number, got '%s'\n", flag,
+                   text);
+      std::exit(2);
+    }
+    return count;
+  }
 
   /// --json OUT names the file when it ends in .json, else a directory.
   std::string json_path() const {

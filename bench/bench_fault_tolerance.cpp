@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
     // exact same failure trace, making the columns directly comparable.
     run_cell(harness, cells[i], nodes, job_count, horizon,
              derive_seed(0xFA417, static_cast<std::uint64_t>(i) / 4),
-             harness.jobs() > 1 ? nullptr : telemetry);
+             telemetry);
   });
 
   std::printf("\nfault-tolerance sweep (%zu nodes, %zu jobs, %.0fh horizon)\n",

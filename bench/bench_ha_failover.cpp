@@ -145,8 +145,7 @@ int main(int argc, char** argv) {
   telemetry::Telemetry* telemetry = harness.telemetry();
   core::parallel_for(cells.size(), harness.jobs(), [&](std::size_t i) {
     run_cell(harness, cells[i], nodes, job_count,
-             derive_seed(0xFA170, static_cast<std::uint64_t>(i)),
-             harness.jobs() > 1 ? nullptr : telemetry);
+             derive_seed(0xFA170, static_cast<std::uint64_t>(i)), telemetry);
   });
 
   std::printf("\nfailover sweep (%zu nodes, %zu jobs, 2 satellites)\n", nodes,

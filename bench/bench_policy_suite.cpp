@@ -77,8 +77,8 @@ sched::policy::PolicyConfig policy_for(const Arm& arm,
   sched::policy::PolicyConfig config;
   config.enabled = true;
   config.enforce_limits = arm.limits;
-  config.enable_preemption = arm.preempt;
-  config.preempt_mode = sched::policy::PreemptMode::Requeue;
+  config.preempt_mode = arm.preempt ? sched::policy::PreemptMode::Requeue
+                                    : sched::policy::PreemptMode::Off;
   config.preempt_wait = seconds(60);
 
   // Keep the high class honest: the boost is paired with per-user caps,
@@ -254,8 +254,7 @@ int main(int argc, char** argv) {
     // tagged trace, so per-class deltas are pure policy effects.
     const std::uint64_t seed = derive_seed(
         0x90115, static_cast<std::uint64_t>(cells[i].mix - mixes.data()));
-    run_cell(harness, cells[i], nodes, duration, seed,
-             harness.jobs() > 1 ? nullptr : telemetry);
+    run_cell(harness, cells[i], nodes, duration, seed, telemetry);
   });
 
   std::printf("\npolicy suite (%zu nodes, %.0f h trace + 2 h drain)\n", nodes,

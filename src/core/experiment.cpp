@@ -216,18 +216,12 @@ ExperimentConfig Experiment::config_from_text(const std::string& text) {
     config.rm_config.scheduler = "policy";
   policy.enforce_limits =
       parsed.get_bool("sched.policy.enforcelimits", policy.enforce_limits);
-  policy.enable_preemption =
-      parsed.get_bool("sched.policy.preemption", policy.enable_preemption);
-  {
-    const std::string mode = parsed.get_or(
-        "sched.policy.preemptmode",
-        sched::policy::preempt_mode_name(policy.preempt_mode));
-    if (mode == "cancel")
-      policy.preempt_mode = sched::policy::PreemptMode::Cancel;
-    else if (mode == "requeue")
-      policy.preempt_mode = sched::policy::PreemptMode::Requeue;
-    else if (mode == "off")
-      policy.preempt_mode = sched::policy::PreemptMode::Off;
+  // Preemption is the switch; PreemptMode picks the mode once it is on.
+  if (parsed.get_bool("sched.policy.preemption", false)) {
+    const std::string mode = parsed.get_or("sched.policy.preemptmode", "requeue");
+    policy.preempt_mode = mode == "cancel" ? sched::policy::PreemptMode::Cancel
+                          : mode == "off"  ? sched::policy::PreemptMode::Off
+                                           : sched::policy::PreemptMode::Requeue;
   }
   policy.preempt_wait = from_seconds(parsed.get_double(
       "sched.policy.preemptwaits", to_seconds(policy.preempt_wait)));

@@ -21,8 +21,8 @@ std::unique_ptr<sched::Scheduler> make_scheduler(
   if (config.scheduler == "conservative")
     return std::make_unique<sched::ConservativeBackfillScheduler>();
   if (config.scheduler == "priority")
-    return std::make_unique<sched::PriorityBackfillScheduler>(
-        config.policy.weights, cluster_nodes, days(7), partitions);
+    return std::make_unique<sched::PriorityBackfillScheduler>(config.policy.weights,
+                                                              cluster_nodes, partitions);
   if (config.scheduler == "policy")
     return std::make_unique<sched::policy::PolicyScheduler>(config.policy,
                                                             cluster_nodes, partitions);

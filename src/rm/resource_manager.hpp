@@ -82,13 +82,17 @@ struct RmRuntimeConfig {
   /// behaviour is bit-identical to earlier builds.
   ha::HaOptions ha;
   /// Scheduling policy: "easy" (default, the paper's backfill), "fcfs",
-  /// "conservative", "priority" (multifactor EASY), or "policy" (the full
-  /// QoS/limits/reservations/preemption suite driven by `policy`).
+  /// "conservative", "priority" (multifactor EASY with flat fair-share,
+  /// weighted by `policy.weights`), or "policy" (the full
+  /// QoS/limits/reservations/preemption suite driven by `policy`).  easy,
+  /// priority and policy run the same EASY pass and differ only in how
+  /// they rank and admit candidates.
   std::string scheduler = "easy";
   /// Partitions validated at submit time and feeding the priority boost;
   /// the empty default skips validation entirely.
   sched::PartitionSet partitions;
-  /// Policy-suite knobs; only read when scheduler == "policy".
+  /// Policy-suite knobs, read when scheduler == "policy"; "priority"
+  /// reads only `policy.weights`.
   sched::policy::PolicyConfig policy;
   /// Job fault tolerance: node-death retry/requeue state machine,
   /// checkpoint model, proactive drain and failure-aware placement.

@@ -6,24 +6,10 @@
 
 namespace eslurm::sched::policy {
 
-namespace {
-
-PriorityWeights weights_with_partition_default(PriorityWeights weights,
-                                               const PartitionSet* partitions) {
-  if (partitions && !partitions->empty() && weights.partition == 0.0)
-    weights.partition = kDefaultPartitionWeight;
-  return weights;
-}
-
-}  // namespace
-
 PolicyScheduler::PolicyScheduler(PolicyConfig config, int cluster_nodes,
                                  const PartitionSet* partitions)
     : config_(std::move(config)),
-      calculator_(weights_with_partition_default(config_.weights, partitions),
-                  cluster_nodes,
-                  static_cast<double>(cluster_nodes) * to_seconds(days(7))),
-      partitions_(partitions) {}
+      calculator_(config_.weights, cluster_nodes, partitions) {}
 
 const PolicyScheduler::JobRef& PolicyScheduler::ref_of(const Job& job) {
   JobRef& ref = refs_[job.id];
@@ -37,14 +23,9 @@ const PolicyScheduler::JobRef& PolicyScheduler::ref_of(const Job& job) {
 
 double PolicyScheduler::priority_of(const Job& job, const JobRef& ref,
                                     SimTime now) const {
-  double partition_factor = 0.0;
-  if (partitions_) {
-    if (const Partition* partition = partitions_->find(job.partition))
-      partition_factor = partition->priority_factor;
-  }
   const UserId user = ref.keys.user;
   const double share = user < factors_.size() ? factors_[user] : 1.0;
-  return calculator_.priority_from_factors(job, now, share, partition_factor) +
+  return calculator_.priority_from_factors(job, now, share) +
          config_.qos_weight * ref.qos->priority_boost;
 }
 
@@ -89,116 +70,47 @@ std::vector<JobId> PolicyScheduler::schedule(const JobPool& pool, int free_nodes
     const JobRef& ref = ref_of(job);
     ranked.push_back({-priority_of(job, ref, now), id, &ref});
   }
-  // Stable: equal priorities keep submission order (ids ascend with time).
-  std::stable_sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.neg_priority != b.neg_priority) return a.neg_priority < b.neg_priority;
-    return a.id < b.id;
-  });
+  sort_by_priority(ranked);
 
   auto& usage = usage_;
   if (config_.enforce_limits)
     config_.accounts.usage_from(pool, usage,
                                 [this](const Job& job) { return ref_of(job).keys; });
-  const auto held_by_limits = [&](const Job& job, const JobRef& ref) -> bool {
-    if (!config_.enforce_limits) return false;
-    const auto reason = config_.accounts.may_start(job, ref.keys, *ref.qos, usage);
-    if (!reason) return false;
-    ++limit_holds_;
-    if (telemetry_)
-      telemetry_->metrics
-          .counter("sched.policy.limit_holds", {{"reason", hold_reason_name(*reason)}})
-          .inc();
-    return true;
-  };
-  const auto carve_blocks = [&](const Job& job) -> bool {
+  // Admission: a limit-held job is skipped outright -- as in Slurm, a held
+  // job gets no reservation and never blocks the queue behind it -- and
+  // no job may start into capacity a reservation window carves out.
+  const auto admit = [&](const Ranked& candidate, const Job& job, int free_now) {
+    if (config_.enforce_limits) {
+      const JobRef& ref = *candidate.ref;
+      if (const auto reason = config_.accounts.may_start(job, ref.keys, *ref.qos, usage)) {
+        ++limit_holds_;
+        if (telemetry_)
+          telemetry_->metrics
+              .counter("sched.policy.limit_holds", {{"reason", hold_reason_name(*reason)}})
+              .inc();
+        return Admission::Hold;
+      }
+    }
     const int carve = carve_for(job, now);
-    if (job.nodes <= free_nodes - carve) return false;
-    if (job.nodes <= free_nodes) {
+    if (job.nodes <= free_now - carve) return Admission::Start;
+    if (job.nodes <= free_now) {
       // It is specifically the reservation carve-out that blocks it.
       ++carve_skips_;
       if (telemetry_)
         telemetry_->metrics.counter("sched.policy.reservation_carve_skips").inc();
     }
-    return true;
+    return Admission::Block;
   };
-
-  std::vector<JobId> out;
-  blocked_head_ = kNoJob;
-  std::size_t cursor = 0;
-
-  // Start phase: launch in priority order while candidates fit.  A
-  // limit-held job is skipped outright -- as in Slurm, a held job gets
-  // no reservation and never blocks the queue behind it.
-  while (cursor < ranked.size()) {
-    const Job& job = pool.get(ranked[cursor].id);
-    const JobRef& ref = *ranked[cursor].ref;
-    if (held_by_limits(job, ref)) {
-      ++cursor;
-      continue;
-    }
-    if (carve_blocks(job)) break;  // blocked head
-    free_nodes -= job.nodes;
-    if (config_.enforce_limits) config_.accounts.add_usage(usage, job, ref.keys);
-    out.push_back(job.id);
-    ++cursor;
-  }
-  if (cursor >= ranked.size()) return out;
-  blocked_head_ = ranked[cursor].id;
-  if (free_nodes <= 0) return out;
-
-  // Shadow reservation for the blocked head, exactly as the EASY pass:
-  // walk active jobs in expected-end order until the head fits.
-  const Job& head = pool.get(blocked_head_);
-  auto& releases = scratch_.releases;
-  releases.clear();
-  releases.reserve(pool.active().size());
-  for (const JobId id : pool.active()) {
-    const Job& job = pool.get(id);
-    releases.emplace_back(expected_end(job, now), job.nodes);
-  }
-  std::sort(releases.begin(), releases.end());
-  SimTime shadow = kTimeNever;
-  int avail = free_nodes;
-  int spare = 0;
-  for (const auto& [end, nodes] : releases) {
-    avail += nodes;
-    if (avail >= head.nodes) {
-      shadow = end;
-      spare = avail - head.nodes;
-      break;
-    }
-  }
-  ++cursor;
-
-  // Backfill phase: fits now, cannot delay the head's shadow start, and
-  // never crosses a reservation window it is not allowed into.
-  for (; cursor < ranked.size(); ++cursor) {
-    if (free_nodes <= 0) break;
-    const Job& job = pool.get(ranked[cursor].id);
-    const JobRef& ref = *ranked[cursor].ref;
-    if (job.nodes > free_nodes) continue;
-    if (held_by_limits(job, ref)) continue;
-    if (carve_blocks(job)) continue;
-    const SimTime est = job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
-    const bool ends_before_shadow = shadow == kTimeNever || now + est <= shadow;
-    const bool fits_spare = shadow == kTimeNever || job.nodes <= spare;
-    if (ends_before_shadow || fits_spare) {
-      free_nodes -= job.nodes;
-      if (fits_spare && !ends_before_shadow) spare -= job.nodes;
-      if (config_.enforce_limits) config_.accounts.add_usage(usage, job, ref.keys);
-      out.push_back(job.id);
-      ++backfilled_;
-      if (telemetry_) telemetry_->metrics.counter("sched.backfill_decisions").inc();
-    }
-  }
-  return out;
+  const auto started = [&](const Ranked& candidate, const Job& job) {
+    if (config_.enforce_limits) config_.accounts.add_usage(usage, job, candidate.ref->keys);
+  };
+  return easy_pass(pool, ranked, free_nodes, now, admit, started);
 }
 
 std::vector<PreemptionOrder> PolicyScheduler::preemption_orders(const JobPool& pool,
                                                                 int free_nodes,
                                                                 SimTime now) {
-  if (!config_.enable_preemption || config_.preempt_mode == PreemptMode::Off)
-    return {};
+  if (config_.preempt_mode == PreemptMode::Off) return {};
   if (blocked_head_ == kNoJob || !pool.contains(blocked_head_)) return {};
   const Job& head = pool.get(blocked_head_);
   if (head.state != JobState::Pending) return {};

@@ -28,8 +28,8 @@ struct PolicyConfig {
   bool enabled = false;
   /// Enforce QoS/user/account admission limits (holds, never rejects).
   bool enforce_limits = true;
-  bool enable_preemption = false;
-  PreemptMode preempt_mode = PreemptMode::Requeue;
+  /// What happens to preemption victims; Off (the default) never evicts.
+  PreemptMode preempt_mode = PreemptMode::Off;
   /// A blocked head must have been queued this long before victims are
   /// evicted for it -- preemption is a last resort, not a fast path.
   SimTime preempt_wait = minutes(2);
@@ -52,10 +52,10 @@ struct PreemptionOrder {
   SimTime grace = 0;
 };
 
-class PolicyScheduler final : public Scheduler {
+class PolicyScheduler final : public EasyBackfillBase {
  public:
   /// `partitions` (optional, must outlive the scheduler) contributes the
-  /// per-partition boost, with the same weight-default promotion as
+  /// per-partition boost, through the same PriorityCalculator as
   /// PriorityBackfillScheduler.
   PolicyScheduler(PolicyConfig config, int cluster_nodes,
                   const PartitionSet* partitions = nullptr);
@@ -64,9 +64,6 @@ class PolicyScheduler final : public Scheduler {
                               SimTime now) override;
   const char* name() const override { return "policy"; }
 
-  void set_telemetry(telemetry::Telemetry* telemetry) override {
-    telemetry_ = telemetry;
-  }
   void on_job_released(const Job& job, SimTime now) override;
   void on_job_preempted(const Job& job, SimTime now) override;
 
@@ -96,7 +93,6 @@ class PolicyScheduler final : public Scheduler {
   std::uint64_t limit_holds() const { return limit_holds_; }
   std::uint64_t reservation_carve_skips() const { return carve_skips_; }
   std::uint64_t limit_violations() const { return violations_; }
-  std::uint64_t backfilled_jobs() const { return backfilled_; }
   std::uint64_t preempt_orders_issued() const { return orders_issued_; }
 
  private:
@@ -120,8 +116,6 @@ class PolicyScheduler final : public Scheduler {
 
   PolicyConfig config_;
   PriorityCalculator calculator_;
-  const PartitionSet* partitions_;
-  telemetry::Telemetry* telemetry_ = nullptr;
 
   /// Fair-tree factors by UserId from the latest pass (also used to price
   /// victims); users registered since then get factor 1.
@@ -131,12 +125,10 @@ class PolicyScheduler final : public Scheduler {
   /// Live usage, rebuilt from the pool by every pass and audit.
   LiveUsage usage_;
   std::unordered_set<JobId> pending_preempt_;
-  JobId blocked_head_ = kNoJob;  ///< highest-priority job that could not start
 
   std::uint64_t limit_holds_ = 0;
   std::uint64_t carve_skips_ = 0;
   std::uint64_t violations_ = 0;
-  std::uint64_t backfilled_ = 0;
   std::uint64_t orders_issued_ = 0;
 
   struct Ranked {
@@ -145,7 +137,6 @@ class PolicyScheduler final : public Scheduler {
     const JobRef* ref;
   };
   std::vector<Ranked> ranked_scratch_;
-  BackfillScratch scratch_;
 };
 
 }  // namespace eslurm::sched::policy

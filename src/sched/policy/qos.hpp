@@ -19,7 +19,7 @@ namespace eslurm::sched::policy {
 
 /// What happens to a preempted job after its grace period.
 enum class PreemptMode : std::uint8_t {
-  Off,      ///< never preempt into / out of this class
+  Off,      ///< preemption disabled (PolicyConfig::preempt_mode's default)
   Requeue,  ///< victim returns to the queue head and reruns from scratch
   Cancel,   ///< victim is killed outright
 };

@@ -36,29 +36,45 @@ double FairshareTracker::share_factor(const std::string& user, SimTime now,
   return std::exp2(-normalized * 8.0);  // 1/8 of the machine-halflife halves it
 }
 
+namespace {
+
+PriorityWeights with_partition_default(PriorityWeights weights,
+                                       const PartitionSet* partitions) {
+  if (partitions && !partitions->empty() && weights.partition == 0.0)
+    weights.partition = kDefaultPartitionWeight;
+  return weights;
+}
+
+}  // namespace
+
 PriorityCalculator::PriorityCalculator(PriorityWeights weights, int cluster_nodes,
-                                       double cluster_node_seconds_per_halflife)
-    : weights_(weights),
+                                       const PartitionSet* partitions)
+    : weights_(with_partition_default(weights, partitions)),
       cluster_nodes_(std::max(cluster_nodes, 1)),
-      norm_(cluster_node_seconds_per_halflife) {}
+      norm_(static_cast<double>(cluster_nodes) * to_seconds(kFairshareHalfLife)),
+      partitions_(partitions) {}
+
+double PriorityCalculator::partition_factor(const Job& job) const {
+  if (!partitions_) return 0.0;
+  const Partition* partition = partitions_->find(job.partition);
+  return partition ? partition->priority_factor : 0.0;
+}
 
 double PriorityCalculator::priority(const Job& job, SimTime now,
-                                    const FairshareTracker& fairshare,
-                                    double partition_factor) const {
-  return priority_from_factors(job, now, fairshare.share_factor(job.user, now, norm_),
-                               partition_factor);
+                                    const FairshareTracker& fairshare) const {
+  return priority_from_factors(job, now, fairshare.share_factor(job.user, now, norm_));
 }
 
 double PriorityCalculator::priority_from_factors(const Job& job, SimTime now,
-                                                 double share_factor,
-                                                 double partition_factor) const {
+                                                 double share_factor) const {
   const double age_days =
       std::min(to_hours(std::max<SimTime>(now - job.submit_time, 0)) / 24.0,
                weights_.age_cap_days);
   const double size =
       static_cast<double>(job.nodes) / static_cast<double>(cluster_nodes_);
   return weights_.age_per_day * age_days + weights_.job_size * size +
-         weights_.fairshare * share_factor + weights_.partition * partition_factor;
+         weights_.fairshare * share_factor +
+         weights_.partition * partition_factor(job);
 }
 
 }  // namespace eslurm::sched

@@ -11,8 +11,14 @@
 #include <unordered_map>
 
 #include "sched/job.hpp"
+#include "sched/partition.hpp"
 
 namespace eslurm::sched {
+
+/// How fast the flat fair-share tracker forgives past usage by default,
+/// and the window its share factor is normalized over (cluster capacity
+/// x one half-life).
+inline constexpr SimTime kFairshareHalfLife = days(7);
 
 /// Exponentially decayed per-user usage, as in Slurm's fair-share: a
 /// user's share factor falls toward 0 as their recent consumption grows
@@ -20,7 +26,7 @@ namespace eslurm::sched {
 class FairshareTracker {
  public:
   /// `half_life`: how fast past usage is forgiven.
-  explicit FairshareTracker(SimTime half_life = days(7));
+  explicit FairshareTracker(SimTime half_life = kFairshareHalfLife);
 
   /// Records consumed node-seconds for a user at time `now`.
   void record_usage(const std::string& user, double node_seconds, SimTime now);
@@ -48,9 +54,10 @@ struct PriorityWeights {
   double age_cap_days = 7.0;     ///< age factor saturates
   double job_size = 500.0;       ///< x (nodes / cluster nodes)
   double fairshare = 2000.0;     ///< x share factor
-  /// x partition priority factor.  0.0 means "pick a default": schedulers
-  /// constructed with a PartitionSet promote it to kDefaultPartitionWeight
-  /// so configured partitions actually influence the order.
+  /// x partition priority factor.  0.0 means "pick a default": a
+  /// calculator given a non-empty PartitionSet promotes it to
+  /// kDefaultPartitionWeight so configured partitions actually influence
+  /// the order.
   double partition = 0.0;
 };
 
@@ -58,25 +65,33 @@ struct PriorityWeights {
 /// but PriorityWeights::partition was left at its 0.0 default.
 inline constexpr double kDefaultPartitionWeight = 1000.0;
 
+/// The multifactor priority formula shared by the priority-ordered
+/// schedulers: age + size + fair-share + partition boost.
 class PriorityCalculator {
  public:
+  /// `partitions` (optional, must outlive the calculator) supplies the
+  /// per-partition factor.  The flat share factor is normalized over
+  /// cluster capacity x kFairshareHalfLife.
   PriorityCalculator(PriorityWeights weights, int cluster_nodes,
-                     double cluster_node_seconds_per_halflife);
+                     const PartitionSet* partitions = nullptr);
 
-  double priority(const Job& job, SimTime now, const FairshareTracker& fairshare,
-                  double partition_factor = 0.0) const;
+  /// Priority with the flat tracker's share factor.
+  double priority(const Job& job, SimTime now, const FairshareTracker& fairshare) const;
 
   /// Priority with an externally supplied share factor in (0, 1] --
   /// hierarchical fair-tree policies replace the flat tracker's factor.
-  double priority_from_factors(const Job& job, SimTime now, double share_factor,
-                               double partition_factor) const;
+  double priority_from_factors(const Job& job, SimTime now, double share_factor) const;
 
   const PriorityWeights& weights() const { return weights_; }
 
  private:
+  /// The job's partition priority factor (0 when it has none).
+  double partition_factor(const Job& job) const;
+
   PriorityWeights weights_;
   int cluster_nodes_;
   double norm_;
+  const PartitionSet* partitions_;
 };
 
 }  // namespace eslurm::sched

@@ -1,38 +1,11 @@
 #include "sched/priority_scheduler.hpp"
 
-#include <algorithm>
-
 namespace eslurm::sched {
-
-namespace {
-
-PriorityWeights with_partition_default(PriorityWeights weights,
-                                       const PartitionSet* partitions) {
-  if (partitions && !partitions->empty() && weights.partition == 0.0)
-    weights.partition = kDefaultPartitionWeight;
-  return weights;
-}
-
-}  // namespace
 
 PriorityBackfillScheduler::PriorityBackfillScheduler(PriorityWeights weights,
                                                      int cluster_nodes,
-                                                     SimTime fairshare_half_life,
                                                      const PartitionSet* partitions)
-    : calculator_(with_partition_default(weights, partitions), cluster_nodes,
-                  static_cast<double>(cluster_nodes) *
-                      to_seconds(fairshare_half_life)),
-      fairshare_(fairshare_half_life),
-      partitions_(partitions) {}
-
-double PriorityBackfillScheduler::priority_of(const Job& job, SimTime now) const {
-  double partition_factor = 0.0;
-  if (partitions_) {
-    if (const Partition* partition = partitions_->find(job.partition))
-      partition_factor = partition->priority_factor;
-  }
-  return calculator_.priority(job, now, fairshare_, partition_factor);
-}
+    : calculator_(weights, cluster_nodes, partitions) {}
 
 std::vector<JobId> PriorityBackfillScheduler::schedule(const JobPool& pool,
                                                        int free_nodes, SimTime now) {
@@ -42,16 +15,10 @@ std::vector<JobId> PriorityBackfillScheduler::schedule(const JobPool& pool,
   for (const JobId id : pool.pending()) {
     const Job& job = pool.get(id);
     if (!dependency_ready(pool, job)) continue;  // held
-    ranked.emplace_back(-priority_of(job, now), id);
+    ranked.push_back({-priority_of(job, now), id});
   }
-  // Stable: equal priorities keep submission order (ids ascend with time).
-  std::stable_sort(ranked.begin(), ranked.end());
-  auto& ordered = ordered_scratch_;
-  ordered.clear();
-  ordered.reserve(ranked.size());
-  for (const auto& [neg_priority, id] : ranked) ordered.push_back(id);
-  return easy_backfill_pass(pool, ordered, free_nodes, now, &backfilled_, telemetry_,
-                            &scratch_);
+  sort_by_priority(ranked);
+  return easy_pass(pool, ranked, free_nodes, now);
 }
 
 void PriorityBackfillScheduler::on_job_released(const Job& job, SimTime now) {

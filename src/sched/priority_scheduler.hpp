@@ -10,7 +10,13 @@
 
 namespace eslurm::sched {
 
-class PriorityBackfillScheduler final : public Scheduler {
+/// Multifactor EASY with the flat per-user fair-share tracker.  It stays
+/// next to policy::PolicyScheduler, which runs the same pass and formula
+/// with Fair Tree shares, because no account tree reproduces its order:
+/// the flat share factor is exp2(-8 * usage / norm) on each user's own
+/// decayed usage, while Fair Tree gives rank / user count, so even a
+/// one-level tree turns usage gaps of any size into equal rank steps.
+class PriorityBackfillScheduler final : public EasyBackfillBase {
  public:
   /// `partitions` (optional) contributes the per-partition boost; it must
   /// outlive the scheduler.  When a non-empty set is supplied and
@@ -18,7 +24,6 @@ class PriorityBackfillScheduler final : public Scheduler {
   /// promoted to kDefaultPartitionWeight -- configuring partitions
   /// without a weight would otherwise silently ignore them.
   PriorityBackfillScheduler(PriorityWeights weights, int cluster_nodes,
-                            SimTime fairshare_half_life = days(7),
                             const PartitionSet* partitions = nullptr);
 
   std::vector<JobId> schedule(const JobPool& pool, int free_nodes, SimTime now) override;
@@ -30,26 +35,23 @@ class PriorityBackfillScheduler final : public Scheduler {
   void on_job_preempted(const Job& job, SimTime now) override;
 
   FairshareTracker& fairshare() { return fairshare_; }
-  std::uint64_t backfilled_jobs() const { return backfilled_; }
-
-  void set_telemetry(telemetry::Telemetry* telemetry) override {
-    telemetry_ = telemetry;
-  }
 
   const PriorityWeights& weights() const { return calculator_.weights(); }
 
   /// Priority of one job right now (for squeue-style introspection).
-  double priority_of(const Job& job, SimTime now) const;
+  double priority_of(const Job& job, SimTime now) const {
+    return calculator_.priority(job, now, fairshare_);
+  }
 
  private:
+  struct Ranked {
+    double neg_priority;
+    JobId id;
+  };
+
   PriorityCalculator calculator_;
   FairshareTracker fairshare_;
-  const PartitionSet* partitions_;
-  std::uint64_t backfilled_ = 0;
-  telemetry::Telemetry* telemetry_ = nullptr;
-  std::vector<std::pair<double, JobId>> ranked_scratch_;
-  std::vector<JobId> ordered_scratch_;
-  BackfillScratch scratch_;
+  std::vector<Ranked> ranked_scratch_;
 };
 
 }  // namespace eslurm::sched

@@ -44,76 +44,40 @@ std::vector<JobId> FcfsScheduler::schedule(const JobPool& pool, int free_nodes,
   return out;
 }
 
-std::vector<JobId> easy_backfill_pass(const JobPool& pool,
-                                      const std::vector<JobId>& ordered_pending,
-                                      int free_nodes, SimTime now,
-                                      std::uint64_t* backfilled_counter,
-                                      telemetry::Telemetry* telemetry,
-                                      BackfillScratch* scratch) {
-  BackfillScratch local;
-  BackfillScratch& work = scratch ? *scratch : local;
-  std::vector<JobId> out;
-  std::size_t cursor = 0;
-
-  // Start the head of the (ordered) queue while it fits.
-  while (cursor < ordered_pending.size()) {
-    const Job& head = pool.get(ordered_pending[cursor]);
-    if (head.nodes > free_nodes) break;
-    free_nodes -= head.nodes;
-    out.push_back(head.id);
-    ++cursor;
-  }
-  if (cursor >= ordered_pending.size() || free_nodes <= 0) return out;
-
-  // Reservation for the blocked head: walk active jobs in expected-end
-  // order, accumulating released nodes until the head fits.  `shadow` is
-  // the head's reserved start time; `spare` is what is left over at that
-  // moment after the head takes its share.
-  const Job& head = pool.get(ordered_pending[cursor]);
-  auto& releases = work.releases;  // (expected end, nodes)
-  releases.clear();
-  releases.reserve(pool.active().size());
+EasyBackfillBase::Shadow EasyBackfillBase::shadow_for(const JobPool& pool,
+                                                     const Job& head, int free_nodes,
+                                                     SimTime now) {
+  // Walk active jobs in expected-end order, accumulating released nodes
+  // until the head fits.  The shadow start is the head's reserved start
+  // time; `spare` is what is left over at that moment after the head
+  // takes its share.
+  releases_.clear();
+  releases_.reserve(pool.active().size());
   for (const JobId id : pool.active()) {
     const Job& job = pool.get(id);
-    releases.emplace_back(expected_end(job, now), job.nodes);
+    releases_.emplace_back(expected_end(job, now), job.nodes);
   }
-  std::sort(releases.begin(), releases.end());
+  std::sort(releases_.begin(), releases_.end());
 
-  SimTime shadow = kTimeNever;
-  int avail = free_nodes;
-  int spare = 0;
-  for (const auto& [end, nodes] : releases) {
-    avail += nodes;
-    if (avail >= head.nodes) {
-      shadow = end;
-      spare = avail - head.nodes;
-      break;
-    }
-  }
   // If running jobs can never free enough nodes the head is unsatisfiable
   // right now (machine too small / draining); no reservation constrains
   // the backfill in that case.
-  ++cursor;
-
-  // Backfill pass: a candidate may start if it fits now AND either ends
-  // before the shadow time or only uses nodes spare at the shadow time.
-  for (; cursor < ordered_pending.size(); ++cursor) {
-    if (free_nodes <= 0) break;
-    const Job& job = pool.get(ordered_pending[cursor]);
-    if (job.nodes > free_nodes) continue;
-    const SimTime est = job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
-    const bool ends_before_shadow = shadow == kTimeNever || now + est <= shadow;
-    const bool fits_spare = shadow == kTimeNever || job.nodes <= spare;
-    if (ends_before_shadow || fits_spare) {
-      free_nodes -= job.nodes;
-      if (fits_spare && !ends_before_shadow) spare -= job.nodes;
-      out.push_back(job.id);
-      if (backfilled_counter) ++(*backfilled_counter);
-      if (telemetry)
-        telemetry->metrics.counter("sched.backfill_decisions").inc();
+  Shadow shadow;
+  int avail = free_nodes;
+  for (const auto& [end, nodes] : releases_) {
+    avail += nodes;
+    if (avail >= head.nodes) {
+      shadow.start = end;
+      shadow.spare = avail - head.nodes;
+      break;
     }
   }
-  return out;
+  return shadow;
+}
+
+void EasyBackfillBase::note_backfill() {
+  ++backfilled_;
+  if (telemetry_) telemetry_->metrics.counter("sched.backfill_decisions").inc();
 }
 
 std::vector<JobId> EasyBackfillScheduler::schedule(const JobPool& pool, int free_nodes,
@@ -122,8 +86,7 @@ std::vector<JobId> EasyBackfillScheduler::schedule(const JobPool& pool, int free
   ordered_scratch_.reserve(pool.pending().size());
   for (const JobId id : pool.pending())
     if (dependency_ready(pool, pool.get(id))) ordered_scratch_.push_back(id);
-  return easy_backfill_pass(pool, ordered_scratch_, free_nodes, now, &backfilled_,
-                            telemetry_, &scratch_);
+  return easy_pass(pool, ordered_scratch_, free_nodes, now);
 }
 
 ConservativeBackfillScheduler::ConservativeBackfillScheduler(std::size_t planning_depth)

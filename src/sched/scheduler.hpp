@@ -7,6 +7,8 @@
 // executes the decisions (allocation, launch broadcast...).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -46,49 +48,153 @@ class FcfsScheduler final : public Scheduler {
   const char* name() const override { return "fcfs"; }
 };
 
-/// Reusable working set for a backfill pass.  Schedulers run every cycle
-/// over pools with hundreds of active jobs; holding the release list as
-/// scheduler state instead of a per-pass local keeps the steady-state
-/// cycle free of vector reallocations (capacity plateaus after the first
-/// few passes).
-struct BackfillScratch {
-  std::vector<std::pair<SimTime, int>> releases;  ///< (expected end, nodes)
+/// A backfill scheduler's admission verdict on one candidate job.
+enum class Admission : std::uint8_t {
+  Start,  ///< may start now if it fits the free nodes
+  Hold,   ///< held (e.g. by a limit): skipped, gets no reservation, never blocks
+  Block,  ///< may not start now (e.g. a reservation carve-out): it blocks
 };
 
-/// Core EASY pass over an explicitly ordered candidate list: start jobs
-/// in order while they fit, reserve for the first blocked one, then
-/// backfill any candidate that cannot delay the reservation.  Shared by
-/// the submit-order and priority-order schedulers.  Schedulers have no
-/// engine, so the RM hands its telemetry context in explicitly (nullptr
-/// when off).  `scratch` (optional) provides reusable buffers.
-std::vector<JobId> easy_backfill_pass(const JobPool& pool,
-                                      const std::vector<JobId>& ordered_pending,
-                                      int free_nodes, SimTime now,
-                                      std::uint64_t* backfilled_counter = nullptr,
-                                      telemetry::Telemetry* telemetry = nullptr,
-                                      BackfillScratch* scratch = nullptr);
+/// Base of the three EASY schedulers (submit order, multifactor priority
+/// and the policy suite).  It runs the one EASY pass and keeps the state
+/// that pass updates: the backfill counter, the telemetry context, the
+/// release-list buffer and the blocked head of the latest pass.
+class EasyBackfillBase : public Scheduler {
+ public:
+  void set_telemetry(telemetry::Telemetry* telemetry) override {
+    telemetry_ = telemetry;
+  }
+  std::uint64_t backfilled_jobs() const { return backfilled_; }
+
+ protected:
+  /// The EASY pass over candidates in scheduling order: start jobs in
+  /// order while they fit, reserve for the first blocked one, then
+  /// backfill any candidate that cannot delay that reservation, judged
+  /// by the *runtime estimates*.  A candidate is a JobId or a struct
+  /// with an `id` member.
+  ///
+  /// `admit(candidate, job, free_nodes)` is the caller's admission rule.
+  /// In the start phase it is asked before the width check: a Hold is
+  /// skipped and the queue flows past it; a Block, or a job wider than
+  /// the free nodes, becomes the blocked head.  In the backfill phase it
+  /// is asked only for candidates that fit, and anything but Start skips
+  /// the candidate.  `started(candidate, job)` runs for every job the
+  /// pass starts.
+  template <typename Candidate, typename Admit, typename Started>
+  std::vector<JobId> easy_pass(const JobPool& pool,
+                               const std::vector<Candidate>& candidates,
+                               int free_nodes, SimTime now, Admit admit,
+                               Started started);
+  /// The pass with no admission rule: every candidate may start.
+  template <typename Candidate>
+  std::vector<JobId> easy_pass(const JobPool& pool,
+                               const std::vector<Candidate>& candidates,
+                               int free_nodes, SimTime now) {
+    return easy_pass(
+        pool, candidates, free_nodes, now,
+        [](const Candidate&, const Job&, int) { return Admission::Start; },
+        [](const Candidate&, const Job&) {});
+  }
+
+  telemetry::Telemetry* telemetry_ = nullptr;
+  /// The highest-ranked candidate the latest pass could not start, held
+  /// jobs aside (kNoJob when every candidate started).
+  JobId blocked_head_ = kNoJob;
+
+ private:
+  /// When the blocked head can start and how many nodes are spare then.
+  struct Shadow {
+    SimTime start = kTimeNever;  ///< kTimeNever: no reservation constrains
+    int spare = 0;
+  };
+  Shadow shadow_for(const JobPool& pool, const Job& head, int free_nodes,
+                    SimTime now);
+  /// Counts one backfilled start (sched.backfill_decisions).
+  void note_backfill();
+
+  static JobId candidate_id(JobId id) { return id; }
+  template <typename Candidate>
+  static JobId candidate_id(const Candidate& candidate) {
+    return candidate.id;
+  }
+
+  std::uint64_t backfilled_ = 0;
+  /// (expected end, nodes) of the active jobs; held as scheduler state so
+  /// the steady-state cycle does not reallocate it.
+  std::vector<std::pair<SimTime, int>> releases_;
+};
+
+template <typename Candidate, typename Admit, typename Started>
+std::vector<JobId> EasyBackfillBase::easy_pass(const JobPool& pool,
+                                               const std::vector<Candidate>& candidates,
+                                               int free_nodes, SimTime now,
+                                               Admit admit, Started started) {
+  std::vector<JobId> out;
+  blocked_head_ = kNoJob;
+  std::size_t cursor = 0;
+
+  // Start phase: launch in order while candidates fit.
+  for (; cursor < candidates.size(); ++cursor) {
+    const Candidate& candidate = candidates[cursor];
+    const Job& job = pool.get(candidate_id(candidate));
+    const Admission verdict = admit(candidate, job, free_nodes);
+    if (verdict == Admission::Hold) continue;
+    if (verdict == Admission::Block || job.nodes > free_nodes) break;
+    free_nodes -= job.nodes;
+    started(candidate, job);
+    out.push_back(job.id);
+  }
+  if (cursor >= candidates.size()) return out;
+  const Job& head = pool.get(candidate_id(candidates[cursor]));
+  blocked_head_ = head.id;
+  if (free_nodes <= 0) return out;
+  Shadow shadow = shadow_for(pool, head, free_nodes, now);
+
+  // Backfill phase: a candidate may start if it fits now AND either ends
+  // before the shadow time or only uses nodes spare at the shadow time.
+  for (++cursor; cursor < candidates.size(); ++cursor) {
+    if (free_nodes <= 0) break;
+    const Candidate& candidate = candidates[cursor];
+    const Job& job = pool.get(candidate_id(candidate));
+    if (job.nodes > free_nodes) continue;
+    if (admit(candidate, job, free_nodes) != Admission::Start) continue;
+    const SimTime est = job.estimate_used > 0 ? job.estimate_used : job.user_estimate;
+    const bool ends_before_shadow =
+        shadow.start == kTimeNever || now + est <= shadow.start;
+    const bool fits_spare = shadow.start == kTimeNever || job.nodes <= shadow.spare;
+    if (ends_before_shadow || fits_spare) {
+      free_nodes -= job.nodes;
+      if (fits_spare && !ends_before_shadow) shadow.spare -= job.nodes;
+      started(candidate, job);
+      out.push_back(job.id);
+      note_backfill();
+    }
+  }
+  return out;
+}
+
+/// Highest priority first; equal priorities keep submission order (ids
+/// ascend with time).  `Ranked` carries `neg_priority` and `id`.
+template <typename Ranked>
+void sort_by_priority(std::vector<Ranked>& ranked) {
+  std::stable_sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.neg_priority != b.neg_priority) return a.neg_priority < b.neg_priority;
+    return a.id < b.id;
+  });
+}
 
 /// EASY backfill: FCFS plus a reservation for the queue head; any later
 /// job may jump ahead if it fits the free nodes now and cannot delay the
 /// head's reservation, judged by the *runtime estimates* -- which is
 /// exactly why the quality of runtime estimation drives utilization
 /// (Sections V and VII-D).
-class EasyBackfillScheduler final : public Scheduler {
+class EasyBackfillScheduler final : public EasyBackfillBase {
  public:
   std::vector<JobId> schedule(const JobPool& pool, int free_nodes, SimTime now) override;
   const char* name() const override { return "easy-backfill"; }
 
-  std::uint64_t backfilled_jobs() const { return backfilled_; }
-
-  void set_telemetry(telemetry::Telemetry* telemetry) override {
-    telemetry_ = telemetry;
-  }
-
  private:
-  std::uint64_t backfilled_ = 0;
-  telemetry::Telemetry* telemetry_ = nullptr;
   std::vector<JobId> ordered_scratch_;
-  BackfillScratch scratch_;
 };
 
 /// Conservative backfill: every queued job (up to a planning depth) gets

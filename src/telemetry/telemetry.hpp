@@ -19,7 +19,7 @@
 // pointer check + double increment.
 //
 // Benches enable a context before building their world (see
-// bench_common.hpp's TelemetryScope and the --telemetry-out flag); tests
+// bench::Harness in bench_common.hpp and its --telemetry-out flag); tests
 // construct one around the code under test.  Each instance is used from
 // one thread at a time (the thread running its experiment).
 #pragma once

@@ -144,5 +144,46 @@ TEST(HarnessTest, UnwritableTelemetryPathFails) {
   EXPECT_FALSE(fs::exists(out));
 }
 
+TEST(HarnessTest, MalformedCountFlagsExitTwo) {
+  for (const char* flag : {"--jobs", "--replicas"}) {
+    for (const char* value : {"four", "0", "3x"}) {
+      EXPECT_EXIT(with_harness({flag, value}, [](Harness& h) { return h.finish(); }),
+                  ::testing::ExitedWithCode(2), "whole positive number")
+          << flag << " " << value;
+    }
+  }
+  EXPECT_EQ(with_harness({"--jobs", "3", "--replicas", "2"},
+                         [](Harness& h) { return h.jobs() * 10 + h.replicas(); }),
+            32);
+}
+
+TEST(HarnessTest, TelemetryDirWithoutSweepArtifactsFails) {
+  const fs::path dir = scratch("telemetry_dir");
+  // A bench that records standalone points writes no per-point artifact.
+  EXPECT_NE(with_harness({"--telemetry-dir", dir.string()},
+                         [](Harness& h) {
+                           h.record_point("p", {{"k", "v"}}, {{"m", 1.0}});
+                           return h.finish();
+                         }),
+            0);
+  // A sweep point whose artifact was not saved carries an empty path.
+  core::PointOutcome unsaved;
+  unsaved.point.label = "p";
+  EXPECT_NE(with_harness({"--telemetry-dir", dir.string()},
+                         [&](Harness& h) {
+                           h.record_sweep({unsaved});
+                           return h.finish();
+                         }),
+            0);
+  core::PointOutcome saved = unsaved;
+  saved.telemetry_path = (dir / "p.trace.json").string();
+  EXPECT_EQ(with_harness({"--telemetry-dir", dir.string()},
+                         [&](Harness& h) {
+                           h.record_sweep({saved});
+                           return h.finish();
+                         }),
+            0);
+}
+
 }  // namespace
 }  // namespace eslurm::bench

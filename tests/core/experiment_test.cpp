@@ -132,6 +132,26 @@ TEST(ExperimentTest, ConfigDefaultsSurviveEmptyText) {
   EXPECT_EQ(config.frontend.clients.users, 0u);  // front-end off by default
 }
 
+TEST(ExperimentTest, PreemptionKeysMapToOneEffectiveMode) {
+  // Sched.Policy.Preemption is the switch; Sched.Policy.PreemptMode only
+  // picks the mode once preemption is on.
+  using sched::policy::PreemptMode;
+  const auto mode_of = [](const char* text) {
+    const ExperimentConfig config = Experiment::config_from_text(text);
+    const auto& policy = config.rm_config.policy;
+    return policy.preempt_mode;
+  };
+  EXPECT_EQ(mode_of(""), PreemptMode::Off);
+  EXPECT_EQ(mode_of("Sched.Policy.PreemptMode=cancel"), PreemptMode::Off);
+  EXPECT_EQ(mode_of("Sched.Policy.Preemption=no\nSched.Policy.PreemptMode=cancel"),
+            PreemptMode::Off);
+  EXPECT_EQ(mode_of("Sched.Policy.Preemption=yes\nSched.Policy.PreemptMode=cancel"),
+            PreemptMode::Cancel);
+  EXPECT_EQ(mode_of("Sched.Policy.Preemption=yes\nSched.Policy.PreemptMode=requeue"),
+            PreemptMode::Requeue);
+  EXPECT_EQ(mode_of("Sched.Policy.Preemption=yes"), PreemptMode::Requeue);
+}
+
 TEST(ExperimentTest, FrontendIsBuiltOnlyWhenUsersArePresent) {
   ExperimentConfig off;
   off.compute_nodes = 32;

@@ -125,7 +125,6 @@ TEST(GoldenSequence, PolicyDisabledIsInert) {
   // hash must reproduce bit-for-bit.
   ExperimentConfig config = golden_config();
   config.rm_config.policy.enabled = false;
-  config.rm_config.policy.enable_preemption = true;
   config.rm_config.policy.preempt_mode = sched::policy::PreemptMode::Cancel;
   config.rm_config.policy.preempt_wait = seconds(10);
   config.rm_config.policy.qos_weight = 100.0;
@@ -155,7 +154,6 @@ TEST(GoldenSequence, PolicyEnabledFairTreeAndLimits) {
   config.rm_config.scheduler = "policy";
   auto& policy = config.rm_config.policy;
   policy.enabled = true;
-  policy.enable_preemption = true;
   policy.preempt_mode = sched::policy::PreemptMode::Requeue;
   policy.preempt_wait = seconds(60);
   for (const auto& [account, parent] : trace::account_hierarchy(profile)) {

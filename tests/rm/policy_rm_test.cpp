@@ -75,7 +75,6 @@ TEST_F(PolicyRmFixture, ReleasePathFeedsFairshareLedger) {
 TEST_F(PolicyRmFixture, PreemptionRequeuesVictimAndLosesNoJob) {
   config.scheduler = "policy";
   config.policy.enabled = true;
-  config.policy.enable_preemption = true;
   config.policy.preempt_mode = sched::policy::PreemptMode::Requeue;
   config.policy.preempt_wait = seconds(30);
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,
@@ -114,7 +113,6 @@ TEST_F(PolicyRmFixture, PreemptionRequeuesVictimAndLosesNoJob) {
 TEST_F(PolicyRmFixture, CancelModeKillsVictimOutright) {
   config.scheduler = "policy";
   config.policy.enabled = true;
-  config.policy.enable_preemption = true;
   config.policy.preempt_mode = sched::policy::PreemptMode::Cancel;
   config.policy.preempt_wait = seconds(30);
   CentralizedRm manager(engine, *net, *cluster_model, slurm_profile(), deployment,

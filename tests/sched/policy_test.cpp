@@ -362,6 +362,24 @@ TEST(PolicySchedulerTest, LimitHeldJobIsSkippedNotBlocking) {
   EXPECT_GE(sched.limit_holds(), 1u);
 }
 
+TEST(PolicySchedulerTest, WideLimitHeldJobIsAHoldNotTheBlockedHead) {
+  // Admission is asked before the width check: a held job wider than the
+  // free nodes is still a hold, counted once, and the job behind it
+  // starts in the start phase rather than being backfilled around it.
+  PolicyConfig config = flat_config();
+  config.accounts.set_user("capped", "", 1.0, UserLimits{.max_running_jobs = 1});
+  JobPool pool;
+  pool.submit(make_job(1, "capped", 8, minutes(30)));
+  pool.mark_starting(1);
+  pool.mark_running(1, 0);
+  pool.submit(make_job(2, "capped", 12, minutes(10), 0));  // 12 > 8 free
+  pool.submit(make_job(3, "other", 4, minutes(10), seconds(1)));
+  PolicyScheduler sched(config, 16);
+  EXPECT_EQ(sched.schedule(pool, 8, seconds(2)), (std::vector<JobId>{3}));
+  EXPECT_EQ(sched.limit_holds(), 1u);
+  EXPECT_EQ(sched.backfilled_jobs(), 0u);
+}
+
 TEST(PolicySchedulerTest, DisabledEnforcementStartsEverything) {
   PolicyConfig config = flat_config();
   config.enforce_limits = false;
@@ -411,7 +429,7 @@ struct PreemptFixture : ::testing::Test {
   PolicyConfig config = flat_config();
 
   void SetUp() override {
-    config.enable_preemption = true;
+    config.preempt_mode = PreemptMode::Requeue;
     config.preempt_wait = minutes(2);
   }
 
@@ -439,6 +457,24 @@ TEST_F(PreemptFixture, EvictsCheapestVictimForBlockedHighHead) {
   EXPECT_EQ(orders[0].mode, PreemptMode::Requeue);
   EXPECT_EQ(orders[0].grace, config.qos.resolve("low").grace_period);
   EXPECT_EQ(sched.preempt_orders_issued(), 1u);
+}
+
+TEST_F(PreemptFixture, HeadBlockedAtZeroFreeNodesStillDrivesEvictions) {
+  // The start phase uses the last free node, then blocks: the pass must
+  // still record the blocked head for preemption_orders.
+  pool.submit(make_job(1, "w1", 8, hours(2), 0, "low"));
+  pool.mark_starting(1);
+  pool.mark_running(1, 0);
+  pool.submit(make_job(2, "vip", 8, minutes(10), 0, "high"));
+  pool.submit(make_job(3, "vip", 8, minutes(10), 0, "high"));
+  PolicyScheduler sched(config, 16);
+  const SimTime now = minutes(3);
+  EXPECT_EQ(sched.schedule(pool, 8, now), (std::vector<JobId>{2}));
+  pool.mark_starting(2);
+  pool.mark_running(2, now);
+  const auto orders = sched.preemption_orders(pool, 0, now);
+  ASSERT_EQ(orders.size(), 1u);
+  EXPECT_EQ(orders[0].victim, 1u);
 }
 
 TEST_F(PreemptFixture, PendingGraceWindowsAreNotDoubleOrdered) {

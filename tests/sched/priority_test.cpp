@@ -86,7 +86,7 @@ TEST(PriorityCalcTest, AgeRaisesPriorityUpToCap) {
   weights.age_cap_days = 2.0;
   weights.job_size = 0.0;
   weights.fairshare = 0.0;
-  PriorityCalculator calc(weights, 100, 1e9);
+  PriorityCalculator calc(weights, 100);
   FairshareTracker fairshare;
   const Job job = make_job(1, "u", 1, seconds(10), 0);
   EXPECT_DOUBLE_EQ(calc.priority(job, days(1), fairshare), 100.0);
@@ -98,12 +98,12 @@ TEST(PriorityCalcTest, SizeAndFairshareContribute) {
   weights.age_per_day = 0.0;
   weights.job_size = 1000.0;
   weights.fairshare = 500.0;
-  PriorityCalculator calc(weights, 100, 1000.0);
+  PriorityCalculator calc(weights, 100);
   FairshareTracker fairshare;
   const Job wide = make_job(1, "fresh", 50, seconds(10));
   const Job narrow = make_job(2, "fresh", 1, seconds(10));
   EXPECT_GT(calc.priority(wide, 0, fairshare), calc.priority(narrow, 0, fairshare));
-  fairshare.record_usage("hog", 10000.0, 0);
+  fairshare.record_usage("hog", 1e9, 0);  // ~16x capacity x half-life
   const Job hog_job = make_job(3, "hog", 50, seconds(10));
   EXPECT_LT(calc.priority(hog_job, 0, fairshare), calc.priority(wide, 0, fairshare));
 }
@@ -150,7 +150,7 @@ TEST(PrioritySchedulerTest, HighPriorityJumpsTheQueue) {
   weights.age_per_day = 0.0;
   weights.job_size = 0.0;
   weights.fairshare = 1000.0;
-  PriorityBackfillScheduler sched(weights, 16, days(7));
+  PriorityBackfillScheduler sched(weights, 16);
   sched.fairshare().record_usage("hog", 1e9, 0);
   const auto decisions = sched.schedule(pool, 8, seconds(2));
   ASSERT_FALSE(decisions.empty());
@@ -164,7 +164,7 @@ TEST(PrioritySchedulerTest, PartitionBoostApplies) {
   weights.job_size = 0.0;
   weights.fairshare = 0.0;
   weights.partition = 100.0;
-  PriorityBackfillScheduler sched(weights, 128, days(7), &partitions);
+  PriorityBackfillScheduler sched(weights, 128, &partitions);
   Job debug_job = make_job(1, "u", 4, minutes(5));
   debug_job.partition = "debug";
   Job batch_job = make_job(2, "u", 4, minutes(5));
@@ -178,21 +178,21 @@ TEST(PrioritySchedulerTest, PartitionSetPromotesDefaultWeight) {
   // otherwise be silently ignored.
   const PartitionSet partitions = PartitionSet::tianhe_default();
   PriorityWeights weights;  // partition left at 0.0
-  PriorityBackfillScheduler promoted(weights, 128, days(7), &partitions);
+  PriorityBackfillScheduler promoted(weights, 128, &partitions);
   EXPECT_DOUBLE_EQ(promoted.weights().partition, kDefaultPartitionWeight);
 
   // An explicit weight wins over the promotion...
   weights.partition = 42.0;
-  PriorityBackfillScheduler pinned(weights, 128, days(7), &partitions);
+  PriorityBackfillScheduler pinned(weights, 128, &partitions);
   EXPECT_DOUBLE_EQ(pinned.weights().partition, 42.0);
 
   // ...and without partitions the zero default stays untouched.
-  PriorityBackfillScheduler bare(PriorityWeights{}, 128, days(7));
+  PriorityBackfillScheduler bare(PriorityWeights{}, 128);
   EXPECT_DOUBLE_EQ(bare.weights().partition, 0.0);
 }
 
 TEST(PrioritySchedulerTest, ReleasedUsageFeedsFairshare) {
-  PriorityBackfillScheduler sched(PriorityWeights{}, 64, days(7));
+  PriorityBackfillScheduler sched(PriorityWeights{}, 64);
   Job job = make_job(1, "u", 4, minutes(10));
   job.start_time = 0;
   job.end_time = minutes(10);
