@@ -108,10 +108,11 @@ int main(int argc, char** argv) {
       for (const bool reliable : {false, true})
         cells.push_back({drop, structure, reliable});
 
-  telemetry::Telemetry* telemetry = harness.telemetry();
-  core::parallel_for(cells.size(), harness.jobs(), [&](std::size_t i) {
-    run_cell(harness, cells[i], nodes, telemetry);
-  });
+  core::parallel_for(
+      cells.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i, telemetry::Telemetry* telemetry) {
+        run_cell(harness, cells[i], nodes, telemetry);
+      });
 
   std::printf("\nbroadcast under uniform drop (%zu nodes, 2%% duplication)\n",
               nodes);

@@ -10,10 +10,9 @@
 //                        (for both, N other than a whole number >= 1 exits 2)
 //   --json OUT           write a BENCH_<name>.json artifact; OUT is the
 //                        file path (when it ends in .json) or a directory
-//   --telemetry-out FILE single combined trace+metrics artifact (one
-//                        world at a time: refused with exit status 2
-//                        when --jobs > 1 or the path is missing)
-//   --telemetry-dir DIR  one telemetry artifact per sweep point
+//   --telemetry-out FILE one trace+metrics artifact for the whole run,
+//                        any --jobs: one lane per world, the same file
+//                        for any N (a missing path exits 2)
 //
 // The BENCH JSON schema ("eslurm-bench-v2"):
 //   { "schema": "eslurm-bench-v2", "bench": "<name>", "smoke": bool,
@@ -36,11 +35,10 @@
 //
 // Exit status: Harness::finish() returns 1 when any check failed --
 // including the artifact promises: a --json or --telemetry-out file that
-// could not be written, a --telemetry-out context that recorded no
-// events and no metrics (no file is then left behind), or a
-// --telemetry-dir run with a point that has no per-point artifact.
-// Every main ends with `return harness.finish();`, so the bench's exit
-// status is its verdict.
+// could not be written, or a --telemetry-out context that recorded no
+// events and no metrics (no file is then left behind).  Every main ends
+// with `return harness.finish();`, so the bench's exit status is its
+// verdict.
 //
 // v2 (PR 5) adds the run-level performance envelope: every bench that
 // drives sim::Engine worlds calls record_events() with each world's
@@ -172,20 +170,10 @@ class Harness {
         }
         telemetry_out_ = argv[++i];
         telemetry_.enable();
-      } else if (arg == "--telemetry-dir") {
-        if (const char* v = value("--telemetry-dir")) telemetry_dir_ = v;
       } else {
         std::fprintf(stderr, "warning: unknown argument '%s' ignored\n",
                      arg.c_str());
       }
-    }
-    // A context serves one world at a time: refuse the flag before any
-    // world runs rather than leave the promised artifact unwritten.
-    if (jobs_ > 1 && telemetry()) {
-      std::fprintf(stderr,
-                   "error: --telemetry-out records one world at a time and cannot "
-                   "be combined with --jobs > 1 (use --telemetry-dir)\n");
-      std::exit(2);
     }
     banner(paper_id, what);
   }
@@ -198,23 +186,21 @@ class Harness {
   int jobs() const { return jobs_; }
   int replicas() const { return replicas_; }
 
-  /// The single-artifact telemetry context (--telemetry-out); nullptr
-  /// when absent.  Pass it into the worlds the bench builds
-  /// (ExperimentConfig::telemetry or sim::Engine's constructor); the
-  /// flag is refused with --jobs > 1, so a context is only ever handed
-  /// to sequential runs.
+  /// The run's telemetry context (--telemetry-out); nullptr when absent.
+  /// Hand it to core::run_sweep (through sweep_spec()) or
+  /// core::parallel_for, which give each world its own context and fold
+  /// them in here; a bench that builds one world in main() may record
+  /// into it directly.
   telemetry::Telemetry* telemetry() {
     return telemetry_out_.empty() ? nullptr : &telemetry_;
   }
 
-  /// SweepSpec pre-filled with this run's --jobs/--replicas, the
-  /// per-point artifact directory (--telemetry-dir) and, for a sequential
-  /// run, the single --telemetry-out context; add points and go.
+  /// SweepSpec pre-filled with this run's --jobs/--replicas and the
+  /// --telemetry-out context; add points and go.
   core::SweepSpec sweep_spec() {
     core::SweepSpec spec;
     spec.jobs = jobs_;
     spec.replicas = replicas_;
-    spec.telemetry_dir = telemetry_dir_;
     spec.telemetry = telemetry();
     return spec;
   }
@@ -261,24 +247,14 @@ class Harness {
   /// Writes the artifacts, prints one line per failed check plus an
   /// "N/M checks ok" summary (when any check was recorded), and returns
   /// the exit status: 1 when any check failed, else 0.  A promised
-  /// artifact that cannot be written, an empty --telemetry-out context or
-  /// a --telemetry-dir point without its artifact is a failed check; no
-  /// file is left behind for the first two.
+  /// artifact that cannot be written or an empty --telemetry-out context
+  /// is a failed check, and no file is left behind for either.
   [[nodiscard]] int finish() {
     std::size_t recorded = 0;
     if (telemetry()) {
       recorded = telemetry_.tracer.event_count() + telemetry_.metrics.size();
       check("run", "telemetry-out recorded events or metrics", recorded > 0,
             static_cast<double>(recorded));
-    }
-    if (!telemetry_dir_.empty()) {
-      // Only run_sweep writes per-point artifacts: a point recorded any
-      // other way, or one whose save failed, carries no path.
-      const auto missing = std::count_if(
-          points_.begin(), points_.end(),
-          [](const core::PointOutcome& point) { return point.telemetry_path.empty(); });
-      check("run", "telemetry-dir artifact written", missing == 0,
-            static_cast<double>(missing));
     }
     if (!json_out_.empty())
       write_artifact("bench", json_path(),
@@ -434,7 +410,6 @@ class Harness {
   int jobs_ = 1;
   int replicas_ = 1;
   std::string json_out_;
-  std::string telemetry_dir_;
   std::vector<core::PointOutcome> points_;
   std::vector<std::string> headline_;
   std::vector<Check> checks_;

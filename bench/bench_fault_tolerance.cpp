@@ -164,14 +164,15 @@ int main(int argc, char** argv) {
     for (const double drop : drops)
       for (const Arm& arm : kArms) cells.push_back({mtbf, drop, &arm});
 
-  telemetry::Telemetry* telemetry = harness.telemetry();
-  core::parallel_for(cells.size(), harness.jobs(), [&](std::size_t i) {
-    // One seed per (mtbf, drop) point -- the four arms of a point see the
-    // exact same failure trace, making the columns directly comparable.
-    run_cell(harness, cells[i], nodes, job_count, horizon,
-             derive_seed(0xFA417, static_cast<std::uint64_t>(i) / 4),
-             telemetry);
-  });
+  core::parallel_for(
+      cells.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i, telemetry::Telemetry* telemetry) {
+        // One seed per (mtbf, drop) point -- the four arms of a point see the
+        // exact same failure trace, making the columns directly comparable.
+        run_cell(harness, cells[i], nodes, job_count, horizon,
+                 derive_seed(0xFA417, static_cast<std::uint64_t>(i) / 4),
+                 telemetry);
+      });
 
   std::printf("\nfault-tolerance sweep (%zu nodes, %zu jobs, %.0fh horizon)\n",
               nodes, job_count, to_seconds(horizon) / 3600.0);

@@ -121,12 +121,13 @@ void fig8a(bench::Harness& harness, std::size_t nodes, int rounds) {
   std::vector<Cell> cells{{"slurm", "load", 2048, 11},       {"slurm", "term", 512, 12},
                           {"eslurm-noFP", "load", 2048, 13}, {"eslurm-noFP", "term", 512, 14},
                           {"eslurm", "load", 2048, 15},      {"eslurm", "term", 512, 16}};
-  telemetry::Telemetry* telemetry = harness.telemetry();
-  core::parallel_for(cells.size(), harness.jobs(), [&](std::size_t i) {
-    Cell& cell = cells[i];
-    cell.elapsed = fig8a_time(harness, cell.flavour, nodes, cell.bytes, cell.seed,
-                              rounds, telemetry);
-  });
+  core::parallel_for(
+      cells.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i, telemetry::Telemetry* telemetry) {
+        Cell& cell = cells[i];
+        cell.elapsed = fig8a_time(harness, cell.flavour, nodes, cell.bytes, cell.seed,
+                                  rounds, telemetry);
+      });
   for (const Cell& cell : cells) {
     harness.record_point(std::string(cell.flavour) + "/" + cell.msg,
                          {{"flavour", cell.flavour},
@@ -159,34 +160,35 @@ void fig8b(bench::Harness& harness, std::size_t nodes) {
                       : std::vector<double>{0.0, 0.01, 0.02, 0.05, 0.10, 0.20, 0.30};
   const std::vector<std::string> structures{"ring", "star", "shm", "tree", "fp"};
   std::vector<double> elapsed(ratios.size() * structures.size(), 0.0);
-  telemetry::Telemetry* telemetry = harness.telemetry();
-  core::parallel_for(elapsed.size(), harness.jobs(), [&](std::size_t i) {
-    const double ratio = ratios[i / structures.size()];
-    const std::string& structure = structures[i % structures.size()];
-    World world(nodes, 0xB0 + static_cast<std::uint64_t>(ratio * 1000), telemetry);
-    Rng rng(0x5EED);
-    const auto failed = world.fail_fraction(ratio, rng);
-    cluster::StaticFailurePredictor predictor(failed);
-    comm::BroadcastOptions opts;
-    opts.payload_bytes = 2048;
-    if (structure == "ring") {
-      comm::RingBroadcaster b(*world.net);
-      elapsed[i] = world.run_one(b, opts);
-    } else if (structure == "star") {
-      comm::StarBroadcaster b(*world.net);
-      elapsed[i] = world.run_one(b, opts);
-    } else if (structure == "shm") {
-      comm::SharedMemoryBroadcaster b(*world.net);
-      elapsed[i] = world.run_one(b, opts);
-    } else if (structure == "tree") {
-      comm::TreeBroadcaster b(*world.net);
-      elapsed[i] = world.run_one(b, opts);
-    } else {
-      comm::FpTreeBroadcaster b(*world.net, predictor);
-      elapsed[i] = world.run_one(b, opts);
-    }
-    harness.record_events(world.engine.executed_events());
-  });
+  core::parallel_for(
+      elapsed.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i, telemetry::Telemetry* telemetry) {
+        const double ratio = ratios[i / structures.size()];
+        const std::string& structure = structures[i % structures.size()];
+        World world(nodes, 0xB0 + static_cast<std::uint64_t>(ratio * 1000), telemetry);
+        Rng rng(0x5EED);
+        const auto failed = world.fail_fraction(ratio, rng);
+        cluster::StaticFailurePredictor predictor(failed);
+        comm::BroadcastOptions opts;
+        opts.payload_bytes = 2048;
+        if (structure == "ring") {
+          comm::RingBroadcaster b(*world.net);
+          elapsed[i] = world.run_one(b, opts);
+        } else if (structure == "star") {
+          comm::StarBroadcaster b(*world.net);
+          elapsed[i] = world.run_one(b, opts);
+        } else if (structure == "shm") {
+          comm::SharedMemoryBroadcaster b(*world.net);
+          elapsed[i] = world.run_one(b, opts);
+        } else if (structure == "tree") {
+          comm::TreeBroadcaster b(*world.net);
+          elapsed[i] = world.run_one(b, opts);
+        } else {
+          comm::FpTreeBroadcaster b(*world.net, predictor);
+          elapsed[i] = world.run_one(b, opts);
+        }
+        harness.record_events(world.engine.executed_events());
+      });
   Table table({"failure %", "ring", "star", "shared-mem", "tree", "FP-Tree"});
   for (std::size_t r = 0; r < ratios.size(); ++r) {
     std::vector<std::string> row{format_double(100 * ratios[r], 3)};

@@ -142,11 +142,12 @@ int main(int argc, char** argv) {
     cells.push_back({cadence, "mid-snapshot", cadence + 0.05});
   }
 
-  telemetry::Telemetry* telemetry = harness.telemetry();
-  core::parallel_for(cells.size(), harness.jobs(), [&](std::size_t i) {
-    run_cell(harness, cells[i], nodes, job_count,
-             derive_seed(0xFA170, static_cast<std::uint64_t>(i)), telemetry);
-  });
+  core::parallel_for(
+      cells.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i, telemetry::Telemetry* telemetry) {
+        run_cell(harness, cells[i], nodes, job_count,
+                 derive_seed(0xFA170, static_cast<std::uint64_t>(i)), telemetry);
+      });
 
   std::printf("\nfailover sweep (%zu nodes, %zu jobs, 2 satellites)\n", nodes,
               job_count);

@@ -248,14 +248,15 @@ int main(int argc, char** argv) {
   for (const Arm& arm : arms)
     for (const Mix& mix : mixes) cells.push_back({&arm, &mix});
 
-  telemetry::Telemetry* telemetry = harness.telemetry();
-  core::parallel_for(cells.size(), harness.jobs(), [&](std::size_t i) {
-    // Same seed per mix across arms: every arm schedules the identical
-    // tagged trace, so per-class deltas are pure policy effects.
-    const std::uint64_t seed = derive_seed(
-        0x90115, static_cast<std::uint64_t>(cells[i].mix - mixes.data()));
-    run_cell(harness, cells[i], nodes, duration, seed, telemetry);
-  });
+  core::parallel_for(
+      cells.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i, telemetry::Telemetry* telemetry) {
+        // Same seed per mix across arms: every arm schedules the identical
+        // tagged trace, so per-class deltas are pure policy effects.
+        const std::uint64_t seed = derive_seed(
+            0x90115, static_cast<std::uint64_t>(cells[i].mix - mixes.data()));
+        run_cell(harness, cells[i], nodes, duration, seed, telemetry);
+      });
 
   std::printf("\npolicy suite (%zu nodes, %.0f h trace + 2 h drain)\n", nodes,
               to_seconds(duration) / 3600.0);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 #include "telemetry/telemetry.hpp"
 
@@ -29,10 +28,6 @@ std::uint64_t hash_list(const std::vector<NodeId>& list) {
   }
   return h;
 }
-
-constexpr double kRebuildBuckets[] = {0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
-                                      0.1,   0.2,   0.5,   1.0,  2.0,  5.0,
-                                      10.0,  20.0,  50.0,  100.0};
 
 }  // namespace
 
@@ -277,7 +272,6 @@ std::shared_ptr<const std::vector<NodeId>> FpTreeBroadcaster::prepare(
   if (!hooks_registered_ || targets->size() < kMinIncrementalSize)
     return prepare_full(*targets, options);
 
-  const auto wall_start = std::chrono::steady_clock::now();
   const std::uint64_t hash = hash_list(*targets);
   CacheEntry* entry = lookup(*targets, options.tree_width, hash);
   const bool from_cache = entry != nullptr;
@@ -299,39 +293,24 @@ std::shared_ptr<const std::vector<NodeId>> FpTreeBroadcaster::prepare(
          rearrange_nodelist(entry->list.base(), options.tree_width, predictor_));
 #endif
   auto out = entry->list.out();
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall_start)
-                             .count();
-  account(entry->list.stats(), entry, *out, options.tree_width, wall_ms, from_cache);
+  account(entry->list.stats(), entry, *out, options.tree_width, from_cache);
   return out;
 }
 
 std::shared_ptr<const std::vector<NodeId>> FpTreeBroadcaster::prepare_full(
     const std::vector<NodeId>& targets, const BroadcastOptions& options) {
-  auto* t = telemetry_;
-  const auto wall_start = t ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point();
   RearrangeStats stats;
   auto rearranged = std::make_shared<const std::vector<NodeId>>(
       rearrange_nodelist(targets, options.tree_width, predictor_, &stats));
-  if (t) {
-    // The constructor runs on every broadcast, so its *wall-clock* cost
-    // is the quantity of interest (the sim charges it separately through
-    // satellite_per_node_us).  Milliseconds, bucketed down to 1 us.
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  wall_start)
-            .count();
-    t->metrics
-        .histogram("comm.fp_rebuild_ms",
-                   {std::begin(kRebuildBuckets), std::end(kRebuildBuckets)})
-        .observe(wall_ms);
+  if (auto* t = telemetry_) {
+    // Telemetry records sim-time only: the rebuild's host cost is what
+    // bench_fp_tree_construction times, and the sim charges it through
+    // satellite_per_node_us.
     t->metrics.counter("comm.fp_rebuilds").inc();
     t->tracer.instant("fp-tree-rebuild", "comm",
                       {{"nodes", static_cast<double>(targets.size())},
                        {"predicted", static_cast<double>(stats.predicted)},
-                       {"leaf_slots", static_cast<double>(stats.leaf_slots)},
-                       {"wall_ms", wall_ms}});
+                       {"leaf_slots", static_cast<double>(stats.leaf_slots)}});
   }
   cumulative_.predicted += stats.predicted;
   cumulative_.predicted_on_leaf += stats.predicted_on_leaf;
@@ -386,20 +365,15 @@ const LeafLayout* FpTreeBroadcaster::layout_for(std::size_t n, int width) {
 
 void FpTreeBroadcaster::account(const RearrangeStats& stats, CacheEntry* entry,
                                 const std::vector<NodeId>& out, int width,
-                                double wall_ms, bool from_cache) {
+                                bool from_cache) {
   (void)width;
   ++trees_;
   if (from_cache) ++cache_hits_;
   cumulative_.predicted += stats.predicted;
   cumulative_.predicted_on_leaf += stats.predicted_on_leaf;
   cumulative_.leaf_slots += stats.leaf_slots;
-  if (auto* t = telemetry_) {
-    t->metrics
-        .histogram("comm.fp_rebuild_ms",
-                   {std::begin(kRebuildBuckets), std::end(kRebuildBuckets)})
-        .observe(wall_ms);
+  if (auto* t = telemetry_)
     t->metrics.counter(from_cache ? "comm.fp_cache_served" : "comm.fp_rebuilds").inc();
-  }
   if (ground_truth_) {
     const std::uint64_t version = entry->list.out_version();
     bool recompute = true;

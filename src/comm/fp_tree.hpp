@@ -208,8 +208,7 @@ class FpTreeBroadcaster final : public TreeBroadcaster {
                      std::uint64_t hash);
   const LeafLayout* layout_for(std::size_t n, int width);
   void account(const RearrangeStats& stats, CacheEntry* entry,
-               const std::vector<NodeId>& out, int width, double wall_ms,
-               bool from_cache);
+               const std::vector<NodeId>& out, int width, bool from_cache);
 
   const cluster::FailurePredictor& predictor_;
   std::function<bool(NodeId)> ground_truth_;

@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -80,19 +80,43 @@ void parallel_for(std::size_t count, int jobs,
 
 namespace {
 
-/// File-system-safe artifact stem from a point label.
-std::string sanitize(const std::string& label) {
-  std::string out;
-  out.reserve(label.size());
-  for (const char c : label) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '.' || c == '_';
-    out.push_back(ok ? c : '_');
+/// Runs fn(i, context) for every task, each with its own enabled context
+/// when `into` is enabled, and folds the finished contexts into `into` in
+/// task order, lane `lane(i)`.  A context folds as soon as every earlier
+/// task's has, so only those that finished out of order wait in memory.
+/// Each world context has `into`'s trace cap, so the events kept are the
+/// ones one context shared by all the worlds in turn would keep.
+void run_worlds(std::size_t count, int jobs, telemetry::Telemetry* into,
+                const std::function<std::string(std::size_t)>& lane,
+                const std::function<void(std::size_t, telemetry::Telemetry*)>& fn) {
+  if (!into || !into->enabled()) {
+    parallel_for(count, jobs, [&](std::size_t i) { fn(i, nullptr); });
+    return;
   }
-  return out.empty() ? "point" : out;
+  const std::size_t cap = into->tracer.capacity();
+  std::mutex fold_mutex;  // guards `into`, `finished` and `next`
+  std::vector<std::unique_ptr<telemetry::Telemetry>> finished(count);
+  std::size_t next = 0;
+  parallel_for(count, jobs, [&](std::size_t i) {
+    auto context = std::make_unique<telemetry::Telemetry>();
+    context->enable(cap);
+    fn(i, context.get());
+    const std::lock_guard<std::mutex> lock(fold_mutex);
+    finished[i] = std::move(context);
+    for (; next < count && finished[next]; ++next) {
+      into->fold(std::move(*finished[next]), lane(next));
+      finished[next].reset();
+    }
+  });
 }
 
 }  // namespace
+
+void parallel_for(std::size_t count, int jobs, telemetry::Telemetry* into,
+                  const std::function<void(std::size_t, telemetry::Telemetry*)>& fn) {
+  run_worlds(
+      count, jobs, into, [](std::size_t i) { return "task " + std::to_string(i); }, fn);
+}
 
 std::vector<PointOutcome> run_sweep(const SweepSpec& spec, const SweepFn& fn) {
   const std::size_t n_points = spec.points.size();
@@ -104,38 +128,26 @@ std::vector<PointOutcome> run_sweep(const SweepSpec& spec, const SweepFn& fn) {
     outcomes[p].replicas.resize(replicas);
   }
 
-  const bool collect_telemetry = !spec.telemetry_dir.empty();
-  // One context per point, owned here and attached to replica 0 only:
-  // a context serves one world at a time, and replica 0 is the
-  // representative run the artifact documents.
-  std::vector<telemetry::Telemetry> contexts(collect_telemetry ? n_points : 0);
-  if (collect_telemetry) {
-    std::filesystem::create_directories(spec.telemetry_dir);
-    for (auto& context : contexts) context.enable();
-  }
-
-  parallel_for(n_points * replicas, spec.jobs, [&](std::size_t i) {
-    const std::size_t p = i / replicas;
-    const std::size_t r = i % replicas;
-    SweepTask task;
-    task.point_index = p;
-    task.replica = r;
-    task.point = &spec.points[p];
-    task.config = spec.points[p].config;
-    task.config.seed = derive_seed(task.config.seed, r);
-    task.config.telemetry = (collect_telemetry && r == 0) ? &contexts[p]
-                            : spec.jobs <= 1                ? spec.telemetry
-                                                            : nullptr;
-    outcomes[p].replicas[r] = fn(task);
-  });
+  run_worlds(
+      n_points * replicas, spec.jobs, spec.telemetry,
+      [&](std::size_t i) {
+        return spec.points[i / replicas].label + " r" + std::to_string(i % replicas);
+      },
+      [&](std::size_t i, telemetry::Telemetry* context) {
+        const std::size_t p = i / replicas;
+        const std::size_t r = i % replicas;
+        SweepTask task;
+        task.point_index = p;
+        task.replica = r;
+        task.point = &spec.points[p];
+        task.config = spec.points[p].config;
+        task.config.seed = derive_seed(task.config.seed, r);
+        task.config.telemetry = context;
+        outcomes[p].replicas[r] = fn(task);
+      });
 
   for (std::size_t p = 0; p < n_points; ++p) {
     PointOutcome& outcome = outcomes[p];
-    if (collect_telemetry) {
-      const std::string path = spec.telemetry_dir + "/" +
-                               sanitize(outcome.point.label) + ".trace.json";
-      if (contexts[p].save(path)) outcome.telemetry_path = path;
-    }
     if (outcome.replicas.empty() || outcome.replicas[0].empty()) continue;
     const MetricRow& first = outcome.replicas[0];
     outcome.aggregates.reserve(first.size());

@@ -15,6 +15,12 @@
 // order (results land in slots indexed by (point, replica), never in
 // arrival order).
 //
+// Telemetry follows the same rule.  Given an enabled context, every
+// world records into its own, and the runner folds those into the given
+// one in task order (telemetry::Telemetry::fold): one lane per world,
+// named "<label> r<replica>".  The combined artifact is therefore the
+// same for any thread count.
+//
 //   core::SweepSpec spec;
 //   for (int s : {10, 20}) spec.points.push_back({...});
 //   spec.replicas = 3;
@@ -52,13 +58,8 @@ struct SweepSpec {
   std::vector<SweepPoint> points;
   int replicas = 1;  ///< seed replicas per point (>= 1)
   int jobs = 1;      ///< worker threads (>= 1)
-  /// When non-empty, the runner writes one telemetry artifact per point
-  /// (replica 0) to `<telemetry_dir>/<label>.trace.json`.
-  std::string telemetry_dir;
-  /// One caller-owned context that every world of a sequential sweep
-  /// (jobs == 1) records into, for a single combined artifact.  Ignored
-  /// when jobs > 1 (a context serves one world at a time) and for the
-  /// worlds telemetry_dir already covers.
+  /// When enabled, every world's own context is folded into this one,
+  /// one lane per (point, replica) in grid order.
   telemetry::Telemetry* telemetry = nullptr;
 };
 
@@ -70,10 +71,8 @@ using MetricRow = std::vector<std::pair<std::string, double>>;
 struct SweepTask {
   std::size_t point_index = 0;
   std::size_t replica = 0;
-  /// The point's config with the replica seed already derived and, for
-  /// replica 0 of a telemetry-collecting sweep (or every world of a
-  /// sequential sweep with a shared context), the telemetry context
-  /// attached.
+  /// The point's config with the replica seed already derived and, in a
+  /// sweep that collects telemetry, the world's own context attached.
   ExperimentConfig config;
   const SweepPoint* point = nullptr;
 };
@@ -96,8 +95,6 @@ struct PointOutcome {
   /// Per-metric aggregates across replicas, in the metric order of the
   /// first replica.
   std::vector<std::pair<std::string, MetricStats>> aggregates;
-  /// Path of the telemetry artifact written for this point ("" if none).
-  std::string telemetry_path;
 };
 
 /// Executes the grid and aggregates.  Throws std::runtime_error if any
@@ -118,5 +115,12 @@ MetricRow metrics_from_report(const sched::SchedulingReport& report);
 /// one) after all workers drain.
 void parallel_for(std::size_t count, int jobs,
                   const std::function<void(std::size_t)>& fn);
+
+/// The same map for tasks that build worlds: when `into` is enabled,
+/// `fn(i, context)` gets an enabled context of its own for task i, and
+/// the contexts are folded into `into` in task order, lane "task <i>"
+/// (see run_sweep).  Otherwise `context` is nullptr.
+void parallel_for(std::size_t count, int jobs, telemetry::Telemetry* into,
+                  const std::function<void(std::size_t, telemetry::Telemetry*)>& fn);
 
 }  // namespace eslurm::core

@@ -108,12 +108,11 @@ Gateway::~Gateway() {
     net_.unregister_handler(sat.node, kMsgReadRequest);
     net_.unregister_handler(sat.node, kMsgRefreshReply);
   }
-  for (const net::NodeId node : rm_.deployment().compute) {
-    if (transport_) {
-      transport_->unregister_handler(node, kMsgRpcResponse);
-    } else {
+  if (transport_) {
+    transport_->unregister_handlers(kMsgRpcResponse);
+  } else {
+    for (const net::NodeId node : rm_.deployment().compute)
       net_.unregister_handler(node, kMsgRpcResponse);
-    }
   }
 }
 

@@ -49,6 +49,12 @@ void Network::unregister_handler(NodeId node, MessageType type) {
   if (!row.empty()) row[node] = nullptr;
 }
 
+bool Network::has_handler(NodeId node, MessageType type) const {
+  if (type < 0 || static_cast<std::size_t>(type) >= handlers_by_type_.size()) return false;
+  const auto& row = handlers_by_type_[static_cast<std::size_t>(type)];
+  return node < row.size() && static_cast<bool>(row[node]);
+}
+
 SimTime Network::propagation(NodeId from, NodeId to) const {
   if (!topology_) return model_.base_latency;
   // The topology supplies hop latency; the stack cost stays flat.

@@ -86,6 +86,7 @@ class Network {
   /// Registers/replaces the handler for one message type on one node.
   void register_handler(NodeId node, MessageType type, Handler handler);
   void unregister_handler(NodeId node, MessageType type);
+  bool has_handler(NodeId node, MessageType type) const;
 
   /// Allocates a contiguous private message-type range of `width` types
   /// (communication structures use this).  The allocator is per-network

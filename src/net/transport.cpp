@@ -223,4 +223,15 @@ void ReliableTransport::unregister_handler(NodeId node, MessageType type) {
       registered_.end());
 }
 
+void ReliableTransport::unregister_handlers(MessageType type) {
+  auto kept = registered_.begin();
+  for (const auto& entry : registered_) {
+    if (entry.second == type)
+      network_.unregister_handler(entry.first, type);
+    else
+      *kept++ = entry;
+  }
+  registered_.erase(kept, registered_.end());
+}
+
 }  // namespace eslurm::net

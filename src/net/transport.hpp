@@ -127,6 +127,9 @@ class ReliableTransport {
   /// the same type counts as seq 0 of its channel.
   void register_handler(NodeId node, MessageType type, Handler handler);
   void unregister_handler(NodeId node, MessageType type);
+  /// Unregisters `type` on every node, in one pass over the registrations
+  /// (one unregister_handler per node would cost a pass each).
+  void unregister_handlers(MessageType type);
 
   std::uint64_t sends() const { return sends_; }
   std::uint64_t retransmits() const { return retransmits_; }

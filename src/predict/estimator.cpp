@@ -1,7 +1,6 @@
 #include "predict/estimator.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "telemetry/telemetry.hpp"
@@ -49,9 +48,6 @@ std::vector<double> RuntimeEstimator::scale_weighted(
 
 void RuntimeEstimator::retrain() {
   if (history_.size() < config_.min_history) return;
-  auto* telem = telemetry_;
-  const auto wall_start = telem ? std::chrono::steady_clock::now()
-                                : std::chrono::steady_clock::time_point();
   const std::size_t window = std::min(config_.interest_window, history_.size());
 
   ml::Dataset data;
@@ -92,19 +88,11 @@ void RuntimeEstimator::retrain() {
   train_points_ = scaled.x;
   train_labels_ = kmeans_->labels();
   ++retrains_;
-  if (telem) {
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - wall_start)
-                               .count();
+  if (auto* telem = telemetry_) {
     telem->metrics.counter("predict.retrains").inc();
-    telem->metrics
-        .histogram("predict.retrain_ms",
-                   {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000})
-        .observe(wall_ms);
     telem->tracer.instant("predict-retrain", "predict",
                           {{"window", static_cast<double>(window)},
-                           {"k", static_cast<double>(kmeans_->k())},
-                           {"wall_ms", wall_ms}});
+                           {"k", static_cast<double>(kmeans_->k())}});
   }
   ESLURM_DEBUG("estimator: retrained on ", window, " jobs, k=", kmeans_->k());
 }

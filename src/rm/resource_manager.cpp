@@ -585,7 +585,10 @@ void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
   // retry decision lands when the teardown completes.
   const bool retry = proactive || job.retry_count < opts.max_retries;
   const std::vector<NodeId> allocated = allocations_[id];
-  dispatch(allocated, 512, [this, id, retry, proactive](const comm::BroadcastResult& result) {
+  // `job` is a reference, so capturing it by reference names the pooled
+  // Job itself, which JobPool never erases.
+  dispatch(allocated, 512, [this, id, retry, proactive,
+                            &job](const comm::BroadcastResult& result) {
     term_bcast_.add(to_seconds(result.elapsed()));
     recovering_.erase(id);
     for (const NodeId node : allocations_[id]) {
@@ -600,7 +603,6 @@ void ResourceManager::kill_allocation(sched::JobId id, bool proactive) {
     }
     clear_allocation(id);
     if (ha_) ha_->launch_complete(id);
-    sched::Job& job = pool_.get(id);
     if (retry) {
       if (proactive) {
         ++recovery_stats_.proactive_migrations;

@@ -68,7 +68,10 @@ void Engine::maybe_compact() {
 void Engine::publish_telemetry() {
   depth_gauge_->set(static_cast<double>(queue_.size()));
   stale_gauge_->set(stale_ratio());
-  executed_counter_->inc(static_cast<double>(executed_) - executed_counter_->value());
+  // Add this engine's events since the last publish: several worlds in
+  // turn may share one context, and the counter is their sum.
+  executed_counter_->inc(static_cast<double>(executed_ - published_executed_));
+  published_executed_ = executed_;
 }
 
 bool Engine::step() {

@@ -323,6 +323,7 @@ class Engine {
   // Cached instruments (null when telemetry was disabled at construction
   // time) keep the per-event overhead to a pointer check.
   telemetry::Counter* executed_counter_ = nullptr;
+  std::uint64_t published_executed_ = 0;  ///< executed_ as of the last publish
   telemetry::Gauge* depth_gauge_ = nullptr;
   telemetry::Gauge* stale_gauge_ = nullptr;
   telemetry::Counter* compaction_counter_ = nullptr;

@@ -30,6 +30,17 @@ void Histogram::observe(double x) {
   ++count_;
 }
 
+void Histogram::merge(const Histogram& other) {
+  if (other.bounds_ != bounds_)
+    throw std::invalid_argument("Histogram: merging different bucket bounds");
+  if (other.count_ == 0) return;
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  min_ = count_ ? std::min(min_, other.min_) : other.min_;
+  max_ = count_ ? std::max(max_, other.max_) : other.max_;
+  sum_ += other.sum_;
+  count_ += other.count_;
+}
+
 double Histogram::percentile(double q) const {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
@@ -105,6 +116,18 @@ void Registry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+}
+
+void Registry::merge(const Registry& other) {
+  for (const auto& [name, c] : other.counters_) counters_[name].inc(c.value());
+  for (const auto& [name, g] : other.gauges_) gauges_[name].set(g.value());
+  for (const auto& [name, h] : other.histograms_) {
+    const auto it = histograms_.find(name);
+    if (it == histograms_.end())
+      histograms_.emplace(name, h);
+    else
+      it->second.merge(h);
+  }
 }
 
 namespace {

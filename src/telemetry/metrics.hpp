@@ -70,6 +70,10 @@ class Histogram {
   /// Per-bucket counts; size is bounds().size() + 1 (last is overflow).
   const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
 
+  /// Adds `other`'s observations: buckets, count and sum add, min and max
+  /// widen.  Throws std::invalid_argument when the bounds differ.
+  void merge(const Histogram& other);
+
  private:
   std::vector<double> bounds_;
   std::vector<std::uint64_t> counts_;
@@ -107,6 +111,11 @@ class Registry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
   void clear();
+
+  /// Folds `other` in as if its updates had followed this registry's:
+  /// counters add, gauges take `other`'s value, histograms merge (their
+  /// bounds must match).
+  void merge(const Registry& other);
 
   /// Deterministic (name-sorted) views for the sinks and tests.
   const std::map<std::string, Counter>& counters() const { return counters_; }

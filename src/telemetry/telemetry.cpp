@@ -14,12 +14,19 @@ void Telemetry::reset() {
   tracer.disable();
   tracer.clear();
   metrics.clear();
+  lanes_.clear();
+}
+
+void Telemetry::fold(Telemetry&& world, std::string lane) {
+  metrics.merge(world.metrics);
+  lanes_.push_back({std::move(lane), std::move(world.metrics)});
+  tracer.append(std::move(world.tracer), static_cast<std::uint32_t>(lanes_.size()));
 }
 
 bool Telemetry::save(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;
-  tracer.write_chrome_trace(os, &metrics);
+  tracer.write_chrome_trace(os, &metrics, lanes_);
   os << '\n';
   return static_cast<bool>(os);
 }

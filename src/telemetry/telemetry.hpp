@@ -21,11 +21,14 @@
 // Benches enable a context before building their world (see
 // bench::Harness in bench_common.hpp and its --telemetry-out flag); tests
 // construct one around the code under test.  Each instance is used from
-// one thread at a time (the thread running its experiment).
+// one thread at a time (the thread running its experiment).  Worlds that
+// run side by side each record into their own context, and fold() then
+// combines those contexts into one artifact, one lane per world.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracer.hpp"
@@ -42,8 +45,16 @@ struct Telemetry {
   /// Disables and drops all recorded state (tests use this to isolate).
   void reset();
 
+  /// Folds one world's context in as the next lane: its metrics merge
+  /// into `metrics` (Registry::merge), its trace events move over tagged
+  /// with the lane's tid under this tracer's cap, and the lane keeps the
+  /// world's own metrics snapshot.  Folding the worlds of a run in a fixed
+  /// order gives the same artifact however they were scheduled.
+  void fold(Telemetry&& world, std::string lane);
+  const std::vector<Lane>& lanes() const { return lanes_; }
+
   /// Writes the combined artifact (Chrome trace with embedded metrics
-  /// snapshot) to `path`.  Returns false on I/O failure.
+  /// snapshot and lanes) to `path`.  Returns false on I/O failure.
   bool save(const std::string& path) const;
 
   /// Injection helper: `this` when enabled, nullptr otherwise.  World
@@ -53,6 +64,7 @@ struct Telemetry {
 
  private:
   bool enabled_ = false;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace eslurm::telemetry

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "telemetry/json.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace eslurm::telemetry {
 namespace {
@@ -53,6 +52,15 @@ void Tracer::push(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
+void Tracer::append(Tracer&& other, std::uint32_t tid) {
+  for (TraceEvent& event : other.events_) {
+    event.tid = tid;
+    push(std::move(event));
+  }
+  dropped_ += other.dropped_;
+  other.clear();
+}
+
 void Tracer::instant(std::string name, std::string cat) {
   if (!enabled_) return;
   push(TraceEvent{'i', now(), 0, 0, std::move(name), std::move(cat), {}});
@@ -89,9 +97,16 @@ Tracer::Span Tracer::span(std::string name, std::string cat) {
   return Span(this, std::move(name), std::move(cat));
 }
 
-void Tracer::write_chrome_trace(std::ostream& os, const Registry* metrics) const {
+void Tracer::write_chrome_trace(std::ostream& os, const Registry* metrics,
+                                const std::vector<Lane>& lanes) const {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    if (!first) os << ',';
+    first = false;
+    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << l + 1
+       << ",\"args\":{\"name\":\"" << json_escape(lanes[l].name) << "\"}}";
+  }
   for (const TraceEvent& e : events_) {
     if (!first) os << ',';
     first = false;
@@ -109,6 +124,16 @@ void Tracer::write_chrome_trace(std::ostream& os, const Registry* metrics) const
   if (metrics) {
     os << ",\"metrics\":";
     metrics->write_json(os);
+  }
+  if (!lanes.empty()) {
+    os << ",\"lanes\":[";
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      os << (l ? "," : "") << "{\"tid\":" << l + 1 << ",\"name\":\""
+         << json_escape(lanes[l].name) << "\",\"metrics\":";
+      lanes[l].metrics.write_json(os);
+      os << '}';
+    }
+    os << ']';
   }
   os << '}';
 }

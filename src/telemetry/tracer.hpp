@@ -22,14 +22,15 @@
 #include <utility>
 #include <vector>
 
+#include "telemetry/metrics.hpp"
 #include "util/time.hpp"
 
 namespace eslurm::telemetry {
 
-class Registry;
-
 /// One trace event in the Chrome trace-event model.  `ph` is the phase:
-/// 'X' complete (ts + dur), 'i' instant, 'C' counter sample.
+/// 'X' complete (ts + dur), 'i' instant, 'C' counter sample.  `tid` is
+/// the lane: 0 for events recorded here, N for those of the Nth world
+/// folded in (see Tracer::append).
 struct TraceEvent {
   char ph = 'i';
   SimTime ts = 0;
@@ -38,6 +39,13 @@ struct TraceEvent {
   std::string name;
   std::string cat;
   std::string args_json;  ///< pre-rendered `"k":v,...` (no braces), may be empty
+};
+
+/// One folded world in a combined artifact: its name (the Chrome trace
+/// thread name of its lane) and its own metrics snapshot.
+struct Lane {
+  std::string name;
+  Registry metrics;
 };
 
 /// Key/value pairs attached to an event; rendered once, at record time.
@@ -74,6 +82,12 @@ class Tracer {
   /// destruction (sim-time).  Inert when tracing is disabled.
   Span span(std::string name, std::string cat);
 
+  /// Moves `other`'s events onto the end of this trace as lane `tid`,
+  /// under this tracer's cap.  Events past the cap, and those `other`
+  /// dropped, count as dropped here.
+  void append(Tracer&& other, std::uint32_t tid);
+
+  std::size_t capacity() const { return max_events_; }
   std::size_t event_count() const { return events_.size(); }
   std::size_t dropped_events() const { return dropped_; }
   const std::vector<TraceEvent>& events() const { return events_; }
@@ -81,7 +95,10 @@ class Tracer {
   /// Chrome trace JSON object: {"traceEvents": [...], ...}.  When
   /// `metrics` is given, the registry snapshot is embedded under a
   /// top-level "metrics" key (ignored by trace viewers, read by esprof).
-  void write_chrome_trace(std::ostream& os, const Registry* metrics = nullptr) const;
+  /// Lane N (1-based) is named `lanes[N - 1].name` by a thread_name
+  /// metadata event, and its snapshot is listed under "lanes".
+  void write_chrome_trace(std::ostream& os, const Registry* metrics = nullptr,
+                          const std::vector<Lane>& lanes = {}) const;
   std::string to_chrome_trace(const Registry* metrics = nullptr) const;
 
  private:

@@ -157,32 +157,26 @@ TEST(HarnessTest, MalformedCountFlagsExitTwo) {
             32);
 }
 
-TEST(HarnessTest, TelemetryDirWithoutSweepArtifactsFails) {
-  const fs::path dir = scratch("telemetry_dir");
-  // A bench that records standalone points writes no per-point artifact.
-  EXPECT_NE(with_harness({"--telemetry-dir", dir.string()},
-                         [](Harness& h) {
-                           h.record_point("p", {{"k", "v"}}, {{"m", 1.0}});
-                           return h.finish();
-                         }),
-            0);
-  // A sweep point whose artifact was not saved carries an empty path.
-  core::PointOutcome unsaved;
-  unsaved.point.label = "p";
-  EXPECT_NE(with_harness({"--telemetry-dir", dir.string()},
-                         [&](Harness& h) {
-                           h.record_sweep({unsaved});
-                           return h.finish();
-                         }),
-            0);
-  core::PointOutcome saved = unsaved;
-  saved.telemetry_path = (dir / "p.trace.json").string();
-  EXPECT_EQ(with_harness({"--telemetry-dir", dir.string()},
-                         [&](Harness& h) {
-                           h.record_sweep({saved});
-                           return h.finish();
-                         }),
-            0);
+TEST(HarnessTest, ParallelTelemetryOutIsWritten) {
+  // --telemetry-out works with --jobs > 1: each task records into its own
+  // context, and the artifact holds their sum plus one lane per task.
+  const fs::path out = scratch("parallel_telemetry") / "t.json";
+  const int status =
+      with_harness({"--jobs", "2", "--telemetry-out", out.string()}, [](Harness& h) {
+        core::parallel_for(3, h.jobs(), h.telemetry(),
+                           [](std::size_t, telemetry::Telemetry* context) {
+                             context->metrics.counter("unit.events").inc();
+                           });
+        return h.finish();
+      });
+  EXPECT_EQ(status, 0);
+  const telemetry::JsonValue doc = load(out);
+  EXPECT_DOUBLE_EQ(
+      doc.find("metrics")->find("counters")->find("unit.events")->as_number(), 3.0);
+  const telemetry::JsonValue* lanes = doc.find("lanes");
+  ASSERT_NE(lanes, nullptr);
+  ASSERT_EQ(lanes->items().size(), 3u);
+  EXPECT_EQ(lanes->items()[2].find("name")->as_string(), "task 2");
 }
 
 }  // namespace

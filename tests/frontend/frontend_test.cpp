@@ -76,6 +76,21 @@ TEST_F(FrontendFixture, SatelliteReadsOffloadTheMaster) {
   EXPECT_LE(hist.p95(), hist.p99());
 }
 
+TEST_F(FrontendFixture, TransportedGatewayLeavesNoResponseHandler) {
+  rm::CentralizedRm manager(engine, *net, *cluster_model, rm::slurm_profile(),
+                            deployment, rm_config);
+  GatewayConfig config;
+  config.reliable_responses = true;
+  config.satellite_reads = false;
+  {
+    Gateway gateway(engine, *net, manager, config);
+    for (const NodeId node : deployment.compute)
+      ASSERT_TRUE(net->has_handler(node, kMsgRpcResponse)) << node;
+  }
+  for (const NodeId node : deployment.compute)
+    EXPECT_FALSE(net->has_handler(node, kMsgRpcResponse)) << node;
+}
+
 TEST_F(FrontendFixture, MutatingLaneDrainsBeforeQueuedReads) {
   rm::CentralizedRm manager(engine, *net, *cluster_model, rm::slurm_profile(),
                             deployment, rm_config);

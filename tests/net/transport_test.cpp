@@ -439,5 +439,19 @@ TEST_F(TransportFixture, UnregisterStopsDelivery) {
   EXPECT_TRUE(ok);  // unregistered types are dropped but still acked
 }
 
+TEST_F(TransportFixture, UnregisterHandlersDropsOneTypeOnEveryNode) {
+  Network net = make(4);
+  ReliableTransport transport(net, Rng(9));
+  for (NodeId node = 1; node < 4; ++node) {
+    transport.register_handler(node, 7, [](const Message&) {});
+    transport.register_handler(node, 8, [](const Message&) {});
+  }
+  transport.unregister_handlers(7);
+  for (NodeId node = 1; node < 4; ++node) {
+    EXPECT_FALSE(net.has_handler(node, 7)) << node;
+    EXPECT_TRUE(net.has_handler(node, 8)) << node;
+  }
+}
+
 }  // namespace
 }  // namespace eslurm::net

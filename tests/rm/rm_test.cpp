@@ -176,6 +176,27 @@ TEST_F(RmFixture, AllSatellitesDeadMasterTakesOver) {
   EXPECT_GE(manager.master_takeovers(), 1u);
 }
 
+TEST_F(RmFixture, TakeoverAfterTwoFailedReallocations) {
+  // The first attempt plus two re-allocations: a subtask that three
+  // satellites dropped in turn goes to the master, never to a fourth
+  // satellite.  All four satellites are dead with heartbeats off, so the
+  // master still sees each as serviceable until it drops the subtask.
+  config.enable_pings = false;
+  for (int i = 0; i < 2; ++i) {
+    deployment.satellites.push_back(deployment.compute.back());
+    deployment.compute.pop_back();
+  }
+  ASSERT_EQ(deployment.satellites.size(), 4u);
+  EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
+  manager.start(hours(2));
+  for (const NodeId sat : deployment.satellites) cluster_model->fail(sat);
+  engine.schedule_at(seconds(1), [&] { manager.submit(make_job(1, 4, hours(1))); });
+  engine.run_until(minutes(30));  // launched, still running
+  EXPECT_EQ(manager.pool().get(1).state, sched::JobState::Running);
+  EXPECT_EQ(manager.subtask_reallocations(), 3u);
+  EXPECT_EQ(manager.master_takeovers(), 1u);
+}
+
 TEST_F(RmFixture, SatelliteRecoversThroughHeartbeat) {
   EslurmRm manager(engine, *net, *cluster_model, eslurm_profile(), deployment, config);
   manager.start(hours(1));

@@ -152,6 +152,19 @@ TEST(Engine, PublishesTelemetryWhenEnabled) {
   EXPECT_EQ(context.tracer.now(), 0);
 }
 
+TEST(Engine, EnginesSharingAContextSumTheirEvents) {
+  // Worlds that record into one context in turn (several rounds of one
+  // bench task) count every event, not only the last engine's.
+  telemetry::Telemetry context;
+  context.enable();
+  for (const int events : {5000, 300}) {
+    Engine engine(&context);
+    for (int i = 0; i < events; ++i) engine.schedule_at(seconds(i), [] {});
+    engine.run();
+  }
+  EXPECT_DOUBLE_EQ(context.metrics.counter("sim.events_executed").value(), 5300.0);
+}
+
 TEST(Engine, DisabledOrAbsentContextPublishesNothing) {
   telemetry::Telemetry disabled;  // never enabled
   {

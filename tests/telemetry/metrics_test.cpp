@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "telemetry/json.hpp"
 
@@ -120,6 +123,44 @@ TEST(Metrics, CsvListsEveryInstrument) {
   EXPECT_NE(csv.find("counter,\"c\""), std::string::npos);
   EXPECT_NE(csv.find("gauge,\"g\""), std::string::npos);
   EXPECT_NE(csv.find("histogram,\"h\""), std::string::npos);
+}
+
+TEST(Metrics, MergeAddsCountersTakesLaterGaugesAndMergesHistograms) {
+  // Two worlds' registries fold into what one registry updated by both
+  // worlds in turn would hold.
+  Registry first, second, both;
+  for (Registry* r : {&first, &both}) {
+    r->counter("events").inc(3);
+    r->gauge("depth").set(4);
+    r->gauge("only-first").set(9);
+    r->histogram("wait", {1.0, 10.0}).observe(0.5);
+    r->histogram("wait", {1.0, 10.0}).observe(20.0);
+  }
+  for (Registry* r : {&second, &both}) {
+    r->counter("events").inc(2);
+    r->counter("only-second").inc();
+    r->gauge("depth").set(1);
+    r->histogram("wait", {1.0, 10.0}).observe(0.25);
+    r->histogram("wait", {1.0, 10.0}).observe(5.0);
+  }
+  Registry merged;
+  merged.merge(first);
+  merged.merge(second);
+  EXPECT_EQ(merged.to_json(), both.to_json());
+  EXPECT_DOUBLE_EQ(merged.counter("events").value(), 5.0);
+  EXPECT_DOUBLE_EQ(merged.gauge("depth").value(), 1.0);
+  EXPECT_DOUBLE_EQ(merged.gauge("only-first").value(), 9.0);
+  const Histogram& wait = merged.histogram("wait");
+  EXPECT_EQ(wait.count(), 4u);
+  EXPECT_DOUBLE_EQ(wait.sum(), 25.75);
+  EXPECT_DOUBLE_EQ(wait.min(), 0.25);
+  EXPECT_DOUBLE_EQ(wait.max(), 20.0);
+  EXPECT_EQ(wait.bucket_counts(), (std::vector<std::uint64_t>{2, 1, 1}));
+
+  // Histograms merge only when their buckets line up.
+  Registry other;
+  other.histogram("wait", {2.0}).observe(1.0);
+  EXPECT_THROW(merged.merge(other), std::invalid_argument);
 }
 
 TEST(Metrics, ClearEmptiesTheRegistry) {

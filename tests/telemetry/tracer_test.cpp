@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -152,6 +154,58 @@ TEST(Tracer, ChromeTraceJsonParsesBack) {
   // Embedded metrics snapshot rides along for esprof.
   EXPECT_DOUBLE_EQ(doc->find("metrics")->find("counters")->find("events")->as_number(),
                    3.0);
+}
+
+TEST(Telemetry, FoldKeepsWhatOneSharedContextWouldUnderTheCap) {
+  // Three worlds, recorded once into one shared context with a cap of 4
+  // events and once each into its own context with that cap, folded in
+  // order: the same events survive and the same number is dropped.
+  const std::vector<int> world_events = {3, 5, 2};
+  Telemetry shared;
+  shared.enable(4);
+  Telemetry folded;
+  folded.enable(4);
+  for (std::size_t w = 0; w < world_events.size(); ++w) {
+    const std::string id = std::to_string(w);
+    Telemetry world;
+    world.enable(folded.tracer.capacity());
+    for (Telemetry* t : {&shared, &world}) {
+      for (int e = 0; e < world_events[w]; ++e)
+        t->tracer.instant("w" + id + "e" + std::to_string(e), "test");
+      t->metrics.counter("events").inc(world_events[w]);
+      t->metrics.gauge("last").set(static_cast<double>(w));
+    }
+    folded.fold(std::move(world), "world " + id);
+  }
+  ASSERT_EQ(folded.tracer.event_count(), shared.tracer.event_count());
+  EXPECT_EQ(folded.tracer.dropped_events(), 6u);
+  EXPECT_EQ(folded.tracer.dropped_events(), shared.tracer.dropped_events());
+  for (std::size_t i = 0; i < shared.tracer.event_count(); ++i)
+    EXPECT_EQ(folded.tracer.events()[i].name, shared.tracer.events()[i].name);
+  EXPECT_EQ(folded.metrics.to_json(), shared.metrics.to_json());
+
+  // Each world is one lane: its events carry the lane's tid, the lane
+  // keeps the world's own snapshot, and the artifact names the lanes.
+  ASSERT_EQ(folded.lanes().size(), 3u);
+  EXPECT_EQ(folded.tracer.events()[0].tid, 1u);
+  EXPECT_EQ(folded.tracer.events()[3].tid, 2u);
+  EXPECT_EQ(folded.lanes()[1].name, "world 1");
+  EXPECT_DOUBLE_EQ(folded.lanes()[1].metrics.counters().at("events").value(), 5.0);
+  std::ostringstream os;
+  folded.tracer.write_chrome_trace(os, &folded.metrics, folded.lanes());
+  std::string error;
+  const auto doc = parse_json(os.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const JsonValue& meta = doc->find("traceEvents")->items()[2];
+  EXPECT_EQ(meta.find("ph")->as_string(), "M");
+  EXPECT_EQ(meta.find("name")->as_string(), "thread_name");
+  EXPECT_DOUBLE_EQ(meta.find("tid")->as_number(), 3.0);
+  EXPECT_EQ(meta.find("args")->find("name")->as_string(), "world 2");
+  const JsonValue& lane = doc->find("lanes")->items()[2];
+  EXPECT_DOUBLE_EQ(lane.find("tid")->as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(
+      lane.find("metrics")->find("counters")->find("events")->as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(doc->find("droppedEvents")->as_number(), 6.0);
 }
 
 TEST(Telemetry, ContextEnableResetCycle) {

@@ -1,17 +1,17 @@
-// esprof -- summarize telemetry artifacts written with --telemetry-out /
-// --telemetry-dir (Chrome trace-event JSON with an embedded metrics
-// snapshot) into paper-style tables: span durations grouped by name,
-// counter tracks, instant-event counts, and the metrics registry with
-// percentiles.
+// esprof -- summarize telemetry artifacts written with --telemetry-out
+// (Chrome trace-event JSON with an embedded metrics snapshot) into
+// paper-style tables: span durations grouped by name, counter tracks,
+// instant-event counts, and the metrics registry with percentiles.
 //
-//   esprof trace.json                 # full summary of one artifact
+//   esprof trace.json                 # full summary of one artifact; a
+//                                     # sweep's artifact adds its lanes
+//                                     # (one per world) side by side
 //   esprof trace.json --spans         # span table only
-//   esprof trace.json --metrics       # registry only
+//   esprof trace.json --metrics       # registry (and lanes) only
 //   esprof trace.json --cat comm      # restrict events to one category
-//   esprof sweep/*.trace.json         # merged per-point comparison: one
-//                                     # column per artifact, counters /
-//                                     # gauges / histogram means side by
-//                                     # side (e.g. a sweep's points)
+//   esprof a.json b.json              # merged comparison: one column per
+//                                     # artifact, counters / gauges /
+//                                     # histogram means side by side
 //   esprof BENCH_engine.json          # bench artifact (--json) summary:
 //                                     # run-level envelope, the bench's
 //                                     # headline table and checks, and
@@ -74,6 +74,7 @@ void summarize_events(const JsonValue& events, const std::string& category_filte
     if (!category_filter.empty() && cat != category_filter) continue;
     const std::string name = member_string(event, "name");
     const std::string ph = member_string(event, "ph");
+    if (ph == "M") continue;  // lane names carry no time
     const double ts = member_number(event, "ts");  // microseconds
     const double end = ts + member_number(event, "dur");
     if (!any || ts < t_min) t_min = ts;
@@ -205,69 +206,101 @@ const JsonValue* metrics_of(const JsonValue& document) {
   return nullptr;
 }
 
-/// Merged mode: one column per artifact, one table per metric kind.
-/// Rows are the union of the metric names, "-" where an artifact lacks
-/// one, so sweep points with divergent instrumentation still line up.
-void summarize_merged(const std::vector<Artifact>& artifacts) {
+/// Side-by-side rows: a key and one value per column ("-" when absent).
+using ColumnRows = std::vector<std::pair<std::string, std::vector<std::optional<double>>>>;
+
+/// One row per key and one column per label, plus a last/first ratio
+/// column when there are exactly two columns.
+void print_columns(const char* heading, const char* key_header,
+                   const std::vector<std::string>& labels, ColumnRows rows) {
+  if (rows.empty()) return;
+  const bool ratio = labels.size() == 2;
+  std::vector<std::string> header{key_header};
+  header.insert(header.end(), labels.begin(), labels.end());
+  if (ratio) header.push_back("ratio");
+  std::printf("%s\n", heading);
+  Table table(header);
+  for (auto& [key, values] : rows) {
+    values.resize(labels.size());
+    std::vector<std::string> cells{key};
+    for (const auto& value : values)
+      cells.push_back(value ? format_double(*value, 6) : "-");
+    if (ratio)
+      cells.push_back(values[0] && values[1] && *values[0] != 0.0
+                          ? format_double(*values[1] / *values[0], 4)
+                          : "-");
+    table.add_row(std::move(cells));
+  }
+  table.print();
+  std::printf("\n");
+}
+
+std::vector<std::string> labels_of(const std::vector<Artifact>& artifacts) {
+  std::vector<std::string> labels;
+  for (const Artifact& artifact : artifacts) labels.push_back(artifact.label);
+  return labels;
+}
+
+/// One column per (label, metrics snapshot) and one table per metric
+/// kind.  Rows are the union of the metric names, "-" where a column
+/// lacks one, so worlds with divergent instrumentation still line up.
+void compare_metrics(
+    const std::vector<std::pair<std::string, const JsonValue*>>& columns) {
+  std::vector<std::string> labels;
+  for (const auto& column : columns) labels.push_back(column.first);
   auto collect = [&](const char* section,
                      const std::function<double(const JsonValue&)>& value_of) {
     std::map<std::string, std::vector<std::optional<double>>> rows;
-    for (std::size_t a = 0; a < artifacts.size(); ++a) {
-      const JsonValue* metrics = metrics_of(artifacts[a].document);
-      const JsonValue* values = metrics ? metrics->find(section) : nullptr;
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const JsonValue* values = columns[c].second ? columns[c].second->find(section)
+                                                  : nullptr;
       if (!values || !values->is_object()) continue;
       for (const auto& [name, value] : values->members()) {
         auto& row = rows[name];
-        row.resize(artifacts.size());
-        row[a] = value_of(value);
+        row.resize(columns.size());
+        row[c] = value_of(value);
       }
     }
-    return rows;
+    return ColumnRows(rows.begin(), rows.end());
   };
-  auto print_grid = [&](const char* heading, const char* name_column,
-                        const std::map<std::string,
-                                       std::vector<std::optional<double>>>& rows) {
-    if (rows.empty()) return;
-    std::printf("%s\n", heading);
-    std::vector<std::string> header{name_column};
-    for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-    Table table(header);
-    for (const auto& [name, values] : rows) {
-      std::vector<std::string> cells{name};
-      for (std::size_t a = 0; a < artifacts.size(); ++a)
-        cells.push_back(a < values.size() && values[a]
-                            ? format_double(*values[a], 6)
-                            : "-");
-      table.add_row(std::move(cells));
-    }
-    table.print();
-    std::printf("\n");
-  };
-
-  std::printf("merged summary of %zu artifacts\n\n", artifacts.size());
-  {
-    // Overview: trace-event counts per artifact.
-    std::vector<std::string> header{"artifact", "trace events"};
-    Table table({"artifact", "trace events"});
-    for (const Artifact& artifact : artifacts) {
-      const JsonValue* events = artifact.document.find("traceEvents");
-      table.add_row({artifact.label,
-                     events && events->is_array()
-                         ? std::to_string(events->items().size())
-                         : "-"});
-    }
-    table.print();
-    std::printf("\n");
-  }
   const auto number = [](const JsonValue& v) {
     return v.is_number() ? v.as_number() : 0.0;
   };
-  print_grid("counters", "counter", collect("counters", number));
-  print_grid("gauges", "gauge", collect("gauges", number));
-  print_grid("histogram means", "histogram", collect("histograms", [](const JsonValue& h) {
-               const double count = member_number(h, "count");
-               return count > 0 ? member_number(h, "sum") / count : 0.0;
-             }));
+  print_columns("counters", "counter", labels, collect("counters", number));
+  print_columns("gauges", "gauge", labels, collect("gauges", number));
+  print_columns("histogram means", "histogram", labels,
+                collect("histograms", [](const JsonValue& h) {
+                  const double count = member_number(h, "count");
+                  return count > 0 ? member_number(h, "sum") / count : 0.0;
+                }));
+}
+
+/// The lanes of one artifact (one per world of a sweep), side by side.
+void compare_lanes(const JsonValue& document) {
+  const JsonValue* lanes = document.find("lanes");
+  if (!lanes || !lanes->is_array() || lanes->items().empty()) return;
+  std::vector<std::pair<std::string, const JsonValue*>> columns;
+  for (const JsonValue& lane : lanes->items())
+    columns.emplace_back(member_string(lane, "name"), lane.find("metrics"));
+  std::printf("per lane (%zu worlds)\n\n", columns.size());
+  compare_metrics(columns);
+}
+
+/// Merged mode: the artifacts' totals side by side.
+void summarize_merged(const std::vector<Artifact>& artifacts) {
+  std::printf("merged summary of %zu artifacts\n\n", artifacts.size());
+  Table table({"artifact", "trace events"});
+  std::vector<std::pair<std::string, const JsonValue*>> columns;
+  for (const Artifact& artifact : artifacts) {
+    const JsonValue* events = artifact.document.find("traceEvents");
+    table.add_row({artifact.label, events && events->is_array()
+                                       ? std::to_string(events->items().size())
+                                       : "-"});
+    columns.emplace_back(artifact.label, metrics_of(artifact.document));
+  }
+  table.print();
+  std::printf("\n");
+  compare_metrics(columns);
 }
 
 // --- bench artifacts (schema "eslurm-bench-v*", written by --json) ------
@@ -304,35 +337,6 @@ std::map<std::string, double> bench_point_means(const JsonValue& document) {
       out[label + " :: " + name] = member_number(stats, "mean");
   }
   return out;
-}
-
-/// Diff-mode rows: a key and one value per artifact ("-" when absent).
-using ColumnRows = std::vector<std::pair<std::string, std::vector<std::optional<double>>>>;
-
-/// One row per key and one column per artifact, plus a last/first ratio
-/// column when there are exactly two artifacts.
-void print_columns(const char* heading, const char* key_header,
-                   const std::vector<Artifact>& artifacts, ColumnRows rows) {
-  if (rows.empty()) return;
-  const bool ratio = artifacts.size() == 2;
-  std::vector<std::string> header{key_header};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  if (ratio) header.push_back("ratio");
-  std::printf("%s\n", heading);
-  Table table(header);
-  for (auto& [key, values] : rows) {
-    values.resize(artifacts.size());
-    std::vector<std::string> cells{key};
-    for (const auto& value : values)
-      cells.push_back(value ? format_double(*value, 6) : "-");
-    if (ratio)
-      cells.push_back(values[0] && values[1] && *values[0] != 0.0
-                          ? format_double(*values[1] / *values[0], 4)
-                          : "-");
-    table.add_row(std::move(cells));
-  }
-  table.print();
-  std::printf("\n");
 }
 
 // --- the bench's own headline and acceptance checks ----------------------
@@ -438,7 +442,8 @@ void diff_headline(const std::vector<Artifact>& artifacts) {
       }
     }
   }
-  print_columns("headline (per point)", "point :: field", artifacts, std::move(rows));
+  print_columns("headline (per point)", "point :: field", labels_of(artifacts),
+                std::move(rows));
 
   if (std::none_of(artifacts.begin(), artifacts.end(), [](const Artifact& artifact) {
         return artifact.document.find("checks") != nullptr;
@@ -481,35 +486,19 @@ void summarize_bench(const Artifact& artifact) {
 /// last/first ratio column makes before/after perf comparisons one read
 /// (events_per_sec ratio > 1 means the second run is faster).
 void diff_bench(const std::vector<Artifact>& artifacts) {
-  std::printf("bench comparison of %zu artifacts\n\n", artifacts.size());
-  const bool ratio = artifacts.size() == 2;
+  std::printf("bench comparison of %zu artifacts:", artifacts.size());
+  for (const Artifact& artifact : artifacts)
+    std::printf(" %s", member_string(artifact.document, "bench").c_str());
+  std::printf("\n\n");
+  const std::vector<std::string> labels = labels_of(artifacts);
 
-  std::vector<std::string> header{"run-level"};
-  for (const Artifact& artifact : artifacts) header.push_back(artifact.label);
-  if (ratio) header.push_back("ratio");
-  Table run(header);
-  {
-    std::vector<std::string> row{"bench"};
-    for (const Artifact& artifact : artifacts)
-      row.push_back(member_string(artifact.document, "bench"));
-    if (ratio) row.push_back("-");
-    run.add_row(std::move(row));
-  }
+  ColumnRows run;
   for (const char* field : kBenchRunFields) {
-    std::vector<std::string> row{field};
-    std::vector<std::optional<double>> values;
-    for (const Artifact& artifact : artifacts) {
-      values.push_back(bench_run_field(artifact.document, field));
-      row.push_back(values.back() ? format_double(*values.back(), 6) : "-");
-    }
-    if (ratio)
-      row.push_back(values[0] && values[1] && *values[0] != 0.0
-                        ? format_double(*values[1] / *values[0], 4)
-                        : "-");
-    run.add_row(std::move(row));
+    run.emplace_back(field, std::vector<std::optional<double>>{});
+    for (const Artifact& artifact : artifacts)
+      run.back().second.push_back(bench_run_field(artifact.document, field));
   }
-  run.print();
-  std::printf("\n");
+  print_columns("run-level", "field", labels, std::move(run));
 
   diff_headline(artifacts);
 
@@ -522,7 +511,7 @@ void diff_bench(const std::vector<Artifact>& artifacts) {
       row[a] = mean;
     }
   }
-  print_columns("point metric means", "point :: metric", artifacts,
+  print_columns("point metric means", "point :: metric", labels,
                 ColumnRows(rows.begin(), rows.end()));
 }
 
@@ -607,7 +596,10 @@ int main(int argc, char** argv) {
   }
   if (events && events->is_array() && !only_metrics)
     summarize_events(*events, category);
-  if (metrics && !only_spans) summarize_metrics(*metrics);
+  if (metrics && !only_spans) {
+    summarize_metrics(*metrics);
+    compare_lanes(document);
+  }
   if (const JsonValue* dropped = document.find("droppedEvents"))
     std::printf("warning: %.0f events were dropped at the trace-buffer cap\n",
                 dropped->as_number());
