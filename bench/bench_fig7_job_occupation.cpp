@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     for (sched::JobId id = 1; id <= 3; ++id) {
       sched::Job job;
       job.id = id;
-      job.user = "u";
+      job.user = std::string("u");  // assigning the literal trips GCC 12's -Wrestrict
       job.name = "fixed10s";
       job.nodes = job_nodes;
       job.cores = job_nodes * 12;

@@ -123,6 +123,9 @@ void fig8a(bench::Harness& harness, std::size_t nodes, int rounds) {
                           {"eslurm", "load", 2048, 15},      {"eslurm", "term", 512, 16}};
   core::parallel_for(
       cells.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i) {
+        return std::string("fig8a ") + cells[i].flavour + " " + cells[i].msg;
+      },
       [&](std::size_t i, telemetry::Telemetry* telemetry) {
         Cell& cell = cells[i];
         cell.elapsed = fig8a_time(harness, cell.flavour, nodes, cell.bytes, cell.seed,
@@ -162,6 +165,10 @@ void fig8b(bench::Harness& harness, std::size_t nodes) {
   std::vector<double> elapsed(ratios.size() * structures.size(), 0.0);
   core::parallel_for(
       elapsed.size(), harness.jobs(), harness.telemetry(),
+      [&](std::size_t i) {
+        return "fig8b " + structures[i % structures.size()] + " " +
+               format_double(ratios[i / structures.size()], 2);
+      },
       [&](std::size_t i, telemetry::Telemetry* telemetry) {
         const double ratio = ratios[i / structures.size()];
         const std::string& structure = structures[i % structures.size()];

@@ -113,6 +113,12 @@ void run_worlds(std::size_t count, int jobs, telemetry::Telemetry* into,
 }  // namespace
 
 void parallel_for(std::size_t count, int jobs, telemetry::Telemetry* into,
+                  const std::function<std::string(std::size_t)>& label,
+                  const std::function<void(std::size_t, telemetry::Telemetry*)>& fn) {
+  run_worlds(count, jobs, into, label, fn);
+}
+
+void parallel_for(std::size_t count, int jobs, telemetry::Telemetry* into,
                   const std::function<void(std::size_t, telemetry::Telemetry*)>& fn) {
   run_worlds(
       count, jobs, into, [](std::size_t i) { return "task " + std::to_string(i); }, fn);

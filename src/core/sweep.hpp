@@ -118,8 +118,13 @@ void parallel_for(std::size_t count, int jobs,
 
 /// The same map for tasks that build worlds: when `into` is enabled,
 /// `fn(i, context)` gets an enabled context of its own for task i, and
-/// the contexts are folded into `into` in task order, lane "task <i>"
+/// the contexts are folded into `into` in task order, lane `label(i)`
 /// (see run_sweep).  Otherwise `context` is nullptr.
+void parallel_for(std::size_t count, int jobs, telemetry::Telemetry* into,
+                  const std::function<std::string(std::size_t)>& label,
+                  const std::function<void(std::size_t, telemetry::Telemetry*)>& fn);
+
+/// As above, with lanes named "task <i>".
 void parallel_for(std::size_t count, int jobs, telemetry::Telemetry* into,
                   const std::function<void(std::size_t, telemetry::Telemetry*)>& fn);
 

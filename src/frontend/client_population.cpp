@@ -50,7 +50,7 @@ void ClientPopulation::arm_next_session() {
 
 void ClientPopulation::begin_session() {
   const auto& sources = rm_.deployment().compute;
-  const std::uint64_t id = next_session_id_++;
+  const std::uint64_t id = sessions_.acquire();
   Session& s = sessions_[id];
   s.source = sources[static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<std::int64_t>(sources.size()) - 1))];
@@ -62,13 +62,13 @@ void ClientPopulation::begin_session() {
   ++sessions_started_;
   if (auto* t = engine_.telemetry()) {
     t->metrics.gauge("frontend.active_sessions")
-        .set(static_cast<double>(sessions_.size()));
+        .set(static_cast<double>(sessions_.in_use()));
   }
   next_request(id);
 }
 
 void ClientPopulation::next_request(std::uint64_t session_id) {
-  Session& s = sessions_.at(session_id);
+  Session& s = sessions_[session_id];
   s.kind = pick_kind();
   s.first_issued = engine_.now();
   s.attempt = 0;
@@ -77,17 +77,16 @@ void ClientPopulation::next_request(std::uint64_t session_id) {
 }
 
 void ClientPopulation::attempt_request(std::uint64_t session_id) {
-  const auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  const Session& s = it->second;
-  gateway_.issue(s.kind, s.source,
+  const Session* s = sessions_.find(session_id);
+  if (!s) return;
+  gateway_.issue(s->kind, s->source,
                  [this, session_id](RpcOutcome outcome) { on_outcome(session_id, outcome); });
 }
 
 void ClientPopulation::on_outcome(std::uint64_t session_id, RpcOutcome outcome) {
-  const auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) return;
-  Session& s = it->second;
+  Session* found = sessions_.find(session_id);
+  if (!found) return;
+  Session& s = *found;
   const SimTime now = engine_.now();
 
   if (outcome == RpcOutcome::Ok) {
@@ -122,23 +121,23 @@ void ClientPopulation::finish_request(std::uint64_t session_id, SimTime latency,
   const double secs = to_seconds(latency);
   latency_stats_.add(secs);
   latency_hist_.add(secs);
-  Session& s = sessions_.at(session_id);
+  Session& s = sessions_[session_id];
   kind_hist_[static_cast<std::size_t>(s.kind)].add(secs);
   rm_.note_user_request(secs, failed_request);
 
   --s.remaining;
   if (s.remaining <= 0 || engine_.now() >= horizon_) {
-    sessions_.erase(session_id);
+    sessions_.release(session_id);
     return;
   }
   const SimTime think = std::max<SimTime>(
       from_seconds(rng_.exponential(to_seconds(config_.think_time_mean))), 1);
   engine_.schedule_after(think, [this, session_id] {
-    if (!sessions_.count(session_id)) return;
+    if (!sessions_.find(session_id)) return;
     // No request starts after the horizon (see start()): a think time
     // that runs past it ends the session instead.
     if (engine_.now() >= horizon_) {
-      sessions_.erase(session_id);
+      sessions_.release(session_id);
       return;
     }
     next_request(session_id);

@@ -15,10 +15,10 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 
 #include "frontend/gateway.hpp"
 #include "frontend/rpc.hpp"
+#include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -84,6 +84,8 @@ class ClientPopulation {
   }
 
  private:
+  /// begin_session() and next_request() set every field, so a recycled
+  /// slot keeps nothing of the session that used it before.
   struct Session {
     net::NodeId source = net::kNoNode;
     int remaining = 0;
@@ -108,8 +110,9 @@ class ClientPopulation {
   Rng rng_;
   SimTime horizon_ = 0;
 
-  std::unordered_map<std::uint64_t, Session> sessions_;
-  std::uint64_t next_session_id_ = 1;
+  /// Live sessions by handle.  Timers and response callbacks capture the
+  /// handle; one that fires after its session ended finds it stale.
+  util::HandlePool<Session> sessions_;
 
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;

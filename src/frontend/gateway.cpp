@@ -1,6 +1,7 @@
 #include "frontend/gateway.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "rm/eslurm_rm.hpp"
@@ -10,12 +11,22 @@ namespace eslurm::frontend {
 
 namespace {
 
-/// Wire bodies of the front-end protocol.  Requests carry the gateway's
-/// pending-id so responses and failures resolve the right entry.
-struct RequestBody {
-  std::uint64_t id = 0;
-  RpcKind kind = RpcKind::JobInfo;
+/// Wire bodies of the front-end protocol.  Each fits in one word, inside
+/// std::any's inline buffer, so attaching one to a message allocates
+/// nothing.  A request carries the gateway's request id (a 56-bit
+/// HandlePool handle) and its kind packed as id:56 | kind:8.
+class RequestBody {
+ public:
+  RequestBody(std::uint64_t id, RpcKind kind)
+      : packed_(id << 8 | static_cast<std::uint8_t>(kind)) {}
+  std::uint64_t id() const { return packed_ >> 8; }
+  RpcKind kind() const { return static_cast<RpcKind>(packed_ & 0xFF); }
+
+ private:
+  std::uint64_t packed_;
 };
+static_assert(util::HandlePool<int>::kHandleBits <= 56,
+              "request ids must leave 8 bits for the kind");
 
 struct RefreshBody {
   std::uint32_t sat_index = 0;
@@ -23,10 +34,15 @@ struct RefreshBody {
 };
 
 struct RefreshReplyBody {
-  std::uint32_t sat_index = 0;
+  std::uint16_t sat_index = 0;
   RpcKind kind = RpcKind::QueryQueue;
-  std::size_t entries = 0;
+  std::uint32_t entries = 0;  ///< listing size, saturated
 };
+
+static_assert(sizeof(RequestBody) <= sizeof(void*) &&
+                  sizeof(RefreshBody) <= sizeof(void*) &&
+                  sizeof(RefreshReplyBody) <= sizeof(void*),
+              "front-end bodies must fit std::any's inline buffer");
 
 std::size_t kind_index(RpcKind kind) { return static_cast<std::size_t>(kind); }
 
@@ -66,6 +82,8 @@ Gateway::Gateway(sim::Engine& engine, net::Network& network,
 
   if (eslurm_ && config_.satellite_reads) {
     const auto& satellites = rm_.deployment().satellites;
+    if (satellites.size() > UINT16_MAX)
+      throw std::length_error("Gateway: satellite index must fit 16 bits");
     sats_.reserve(satellites.size());
     for (std::size_t i = 0; i < satellites.size(); ++i) {
       sats_.emplace_back(satellites[i], config_.cache_ttl);
@@ -117,12 +135,11 @@ Gateway::~Gateway() {
 }
 
 void Gateway::issue(RpcKind kind, net::NodeId source, ResponseCallback done) {
-  const std::uint64_t id = next_id_++;
-  Pending& p = pending_[id];
-  p.kind = kind;
-  p.source = source;
-  p.done = std::move(done);
-  p.issued_at = engine_.now();
+  const std::uint64_t id = pending_.acquire();
+  pending_[id] = Pending{.kind = kind,
+                         .source = source,
+                         .done = std::move(done),
+                         .issued_at = engine_.now()};
 
   if (!rpc_mutating(kind) && !sats_.empty()) {
     const std::size_t sat = pick_satellite();
@@ -140,7 +157,7 @@ void Gateway::route_master(std::uint64_t id) {
     shed(id, RpcOutcome::Unavailable);
     return;
   }
-  Pending& p = pending_.at(id);
+  Pending& p = pending_[id];
   if (master_inflight_ < config_.master_connection_cap) {
     send_to_master(id);
     return;
@@ -170,7 +187,7 @@ void Gateway::shed(std::uint64_t id, RpcOutcome outcome) {
 }
 
 void Gateway::send_to_master(std::uint64_t id) {
-  Pending& p = pending_.at(id);
+  Pending& p = pending_[id];
   p.stage = Stage::MasterInFlight;
   ++master_inflight_;
   arm_watchdog(id);
@@ -179,7 +196,7 @@ void Gateway::send_to_master(std::uint64_t id) {
   net::Message msg;
   msg.type = kMsgRpcRequest;
   msg.bytes = cost.request_bytes;
-  msg.payload = RequestBody{id, p.kind};
+  msg.payload = RequestBody(id, p.kind);
   net_.send(p.source, rm_.deployment().master, std::move(msg), 0, [this, id](bool ok) {
     if (!ok) {
       ++send_failures_;
@@ -200,7 +217,7 @@ void Gateway::drain_master_queues() {
     } else {
       break;
     }
-    if (!pending_.count(id)) continue;  // timed out while queued
+    if (!pending_.find(id)) continue;  // resolved while queued
     if (!rm_.master_up()) {
       ++refused_master_down_;
       shed(id, RpcOutcome::Unavailable);
@@ -231,7 +248,7 @@ bool Gateway::satellite_serviceable(std::size_t sat_index) const {
 }
 
 void Gateway::send_to_satellite(std::uint64_t id, std::size_t sat_index) {
-  Pending& p = pending_.at(id);
+  Pending& p = pending_[id];
   p.stage = Stage::SatelliteInFlight;
   p.sat_index = sat_index;
   ++sats_[sat_index].inflight;
@@ -241,7 +258,7 @@ void Gateway::send_to_satellite(std::uint64_t id, std::size_t sat_index) {
   net::Message msg;
   msg.type = kMsgReadRequest;
   msg.bytes = cost.request_bytes;
-  msg.payload = RequestBody{id, p.kind};
+  msg.payload = RequestBody(id, p.kind);
   net_.send(p.source, sats_[sat_index].node, std::move(msg), 0,
             [this, id, sat_index](bool ok) {
               if (!ok) {
@@ -259,21 +276,21 @@ void Gateway::on_master_request(const net::Message& msg) {
   // is lost and the client-side watchdog fires.
   if (!rm_.master_up()) return;
 
-  const RpcCost& cost = rpc_cost(body.kind);
+  const RpcCost& cost = rpc_cost(body.kind());
   rm_.master_stats().charge_cpu_us(cost.server_cpu_us);
-  const std::size_t entries = live_entries(body.kind);
-  const std::size_t bytes = response_bytes(body.kind, entries);
-  engine_.schedule_after(cost.handler_service, [this, id = body.id, bytes] {
+  const std::size_t entries = live_entries(body.kind());
+  const std::size_t bytes = response_bytes(body.kind(), entries);
+  engine_.schedule_after(cost.handler_service, [this, id = body.id(), bytes] {
     if (!rm_.master_up()) return;  // crashed while the handler ran
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) {
+    const Pending* p = pending_.find(id);
+    if (!p) {
       ++late_responses_;
       return;
     }
     net::Message resp;
     resp.type = kMsgRpcResponse;
     resp.bytes = bytes;
-    respond(rm_.deployment().master, it->second.source, std::move(resp),
+    respond(rm_.deployment().master, p->source, std::move(resp),
             [this, id](bool ok) {
               resolve(id, ok ? RpcOutcome::Ok : RpcOutcome::Unavailable);
             });
@@ -282,28 +299,28 @@ void Gateway::on_master_request(const net::Message& msg) {
 
 void Gateway::on_satellite_read(std::size_t sat_index, const net::Message& msg) {
   const auto& body = msg.body<RequestBody>();
-  if (!pending_.count(body.id)) {
+  if (!pending_.find(body.id())) {
     ++late_responses_;  // gave up / timed out before the satellite saw it
     return;
   }
   SatelliteEndpoint& sat = sats_[sat_index];
-  if (sat.cache.lookup(body.kind, engine_.now())) {
-    serve_from_cache(sat_index, body.id);
+  if (sat.cache.lookup(body.kind(), engine_.now())) {
+    serve_from_cache(sat_index, body.id());
     return;
   }
-  Refresh& refresh = sat.refresh[kind_index(body.kind)];
-  refresh.waiters.push_back(body.id);
-  if (!refresh.in_flight) begin_refresh(sat_index, body.kind);
+  Refresh& refresh = sat.refresh[kind_index(body.kind())];
+  refresh.waiters.push_back(body.id());
+  if (!refresh.in_flight) begin_refresh(sat_index, body.kind());
 }
 
 void Gateway::serve_from_cache(std::size_t sat_index, std::uint64_t id) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) {
+  const Pending* p = pending_.find(id);
+  if (!p) {
     ++late_responses_;
     return;
   }
   SatelliteEndpoint& sat = sats_[sat_index];
-  const RpcKind kind = it->second.kind;
+  const RpcKind kind = p->kind;
   const std::size_t entries = sat.cache.entries(kind);
   // Marshalling a cached snapshot is cheap -- no scheduler locks, no
   // global state walk; this asymmetry is what makes offloading pay.
@@ -313,7 +330,7 @@ void Gateway::serve_from_cache(std::size_t sat_index, std::uint64_t id) {
   net::Message resp;
   resp.type = kMsgRpcResponse;
   resp.bytes = response_bytes(kind, entries);
-  respond(sat.node, it->second.source, std::move(resp), [this, id](bool ok) {
+  respond(sat.node, p->source, std::move(resp), [this, id](bool ok) {
     resolve(id, ok ? RpcOutcome::Ok : RpcOutcome::Unavailable);
   });
 }
@@ -363,6 +380,9 @@ void Gateway::finish_refresh(std::size_t sat_index, RpcKind kind, bool ok,
     sat.cooldown_until = engine_.now() + config_.satellite_retry_cooldown;
     for (const std::uint64_t id : waiters) resolve(id, RpcOutcome::Unavailable);
   }
+  // Hand the buffer back so the next refresh's waiters reuse its capacity.
+  waiters.clear();
+  if (refresh.waiters.empty()) refresh.waiters.swap(waiters);
 }
 
 void Gateway::on_refresh_request(const net::Message& msg) {
@@ -379,7 +399,9 @@ void Gateway::on_refresh_request(const net::Message& msg) {
         net::Message resp;
         resp.type = kMsgRefreshReply;
         resp.bytes = response_bytes(kind, entries);
-        resp.payload = RefreshReplyBody{sat_index, kind, entries};
+        resp.payload = RefreshReplyBody{
+            static_cast<std::uint16_t>(sat_index), kind,
+            static_cast<std::uint32_t>(std::min<std::size_t>(entries, UINT32_MAX))};
         net_.send(rm_.deployment().master, sats_[sat_index].node, std::move(resp), 0,
                   [this, sat_index, kind](bool ok) {
                     if (!ok) finish_refresh(sat_index, kind, false, 0);
@@ -388,13 +410,15 @@ void Gateway::on_refresh_request(const net::Message& msg) {
 }
 
 void Gateway::resolve(std::uint64_t id, RpcOutcome outcome) {
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) {
+  Pending* slot = pending_.find(id);
+  if (!slot) {
     ++late_responses_;
     return;
   }
-  Pending p = std::move(it->second);
-  pending_.erase(it);
+  // Free the slot before anything runs: `done` may issue() again, which
+  // can reuse this slot or grow the pool under a reference.
+  Pending p = std::move(*slot);
+  pending_.release(id);
   if (p.watchdog != sim::kInvalidEvent) engine_.cancel(p.watchdog);
 
   switch (p.stage) {
@@ -406,7 +430,7 @@ void Gateway::resolve(std::uint64_t id, RpcOutcome outcome) {
       --sats_[p.sat_index].inflight;
       break;
     case Stage::Queued:
-      break;  // the lane deque drops the stale id lazily while draining
+      break;  // the lane drops the stale id lazily while draining
   }
 
   if (outcome == RpcOutcome::Ok) {
@@ -431,12 +455,12 @@ void Gateway::resolve(std::uint64_t id, RpcOutcome outcome) {
 }
 
 void Gateway::arm_watchdog(std::uint64_t id) {
-  Pending& p = pending_.at(id);
+  Pending& p = pending_[id];
   if (p.watchdog != sim::kInvalidEvent) return;  // armed while queued
   p.watchdog = engine_.schedule_after(config_.request_timeout, [this, id] {
-    const auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    it->second.watchdog = sim::kInvalidEvent;
+    Pending* pending = pending_.find(id);
+    if (!pending) return;
+    pending->watchdog = sim::kInvalidEvent;
     ++timeouts_;
     resolve(id, RpcOutcome::Unavailable);
   });

@@ -16,13 +16,19 @@
 // clients are asking.  This is the mechanism behind the Section II-B
 // claim that ESLURM keeps user requests sub-second at 20K+ nodes while
 // a centralized RM degrades super-linearly with the client population.
+//
+// The request path allocates nothing once warm.  Each admitted request
+// lives in a slot of a HandlePool; its id is the slot's generation-checked
+// handle, so a late satellite read, master response or refresh waiter for
+// a request that already resolved finds a stale id -- counted in
+// late_responses(), never resolving whichever request reuses the slot.
+// The wire body packs that id with the kind into one word (inside
+// std::any's inline buffer), the admission lanes are rings, and the
+// response and send callbacks are inline callables.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "frontend/rpc.hpp"
@@ -31,6 +37,9 @@
 #include "net/transport.hpp"
 #include "rm/resource_manager.hpp"
 #include "sim/engine.hpp"
+#include "util/inplace_function.hpp"
+#include "util/pool.hpp"
+#include "util/ring_queue.hpp"
 
 namespace eslurm::telemetry {
 class Counter;
@@ -92,8 +101,9 @@ struct GatewayConfig {
 
 /// One user RPC's terminal notification.  The latency is measured by the
 /// caller (issue time -> callback time); the gateway only reports how the
-/// attempt ended.
-using ResponseCallback = std::function<void(RpcOutcome)>;
+/// attempt ended.  Move-only and inline: a caller pointer plus two ids
+/// fit without an allocation.
+using ResponseCallback = util::InplaceFunction<void(RpcOutcome), 32>;
 
 class Gateway {
  public:
@@ -113,7 +123,9 @@ class Gateway {
   int master_inflight() const { return master_inflight_; }
   std::size_t mutating_queue_depth() const { return mutating_queue_.size(); }
   std::size_t read_queue_depth() const { return read_queue_.size(); }
-  std::size_t pending_count() const { return pending_.size(); }
+  std::size_t pending_count() const { return pending_.in_use(); }
+  /// Request slots ever created: the high-water mark of pending_count().
+  std::size_t pending_slots() const { return pending_.capacity(); }
 
   std::uint64_t served_by_master() const { return served_by_master_; }
   std::uint64_t served_by_satellite() const { return served_by_satellite_; }
@@ -143,6 +155,8 @@ class Gateway {
  private:
   enum class Stage : std::uint8_t { Queued, MasterInFlight, SatelliteInFlight };
 
+  /// One admitted request.  issue() assigns a whole fresh Pending, so a
+  /// recycled slot keeps nothing of the request that used it before.
   struct Pending {
     RpcKind kind = RpcKind::JobInfo;
     net::NodeId source = net::kNoNode;
@@ -157,7 +171,7 @@ class Gateway {
   /// sends the refresh, later misses just wait on it.
   struct Refresh {
     bool in_flight = false;
-    std::vector<std::uint64_t> waiters;  ///< pending request ids
+    std::vector<std::uint64_t> waiters;  ///< request ids; may be stale
     sim::EventId watchdog = sim::kInvalidEvent;
   };
 
@@ -204,12 +218,15 @@ class Gateway {
   GatewayConfig config_;
   std::unique_ptr<net::ReliableTransport> transport_;  ///< response channel
 
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_id_ = 1;
+  /// Admitted requests by id.  Vector-backed: never hold a Pending&
+  /// across issue(), which may grow it.
+  util::HandlePool<Pending> pending_;
 
   int master_inflight_ = 0;
-  std::deque<std::uint64_t> mutating_queue_;
-  std::deque<std::uint64_t> read_queue_;
+  /// Admission lanes of request ids.  A request that resolves while
+  /// queued leaves its stale id behind; draining skips it.
+  util::RingQueue<std::uint64_t> mutating_queue_;
+  util::RingQueue<std::uint64_t> read_queue_;
 
   std::vector<SatelliteEndpoint> sats_;
   std::size_t rr_next_ = 0;

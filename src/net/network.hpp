@@ -29,6 +29,7 @@
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
+#include "util/inplace_function.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -56,8 +57,15 @@ struct LinkModel {
 /// serialization).  Handlers are registered per (node, message type).
 using Handler = std::function<void(const Message&)>;
 
+/// Inline capture budget of a send callback: a subsystem pointer plus up
+/// to four ids, the largest capture the broadcast structures and RM
+/// daemons pass.  Larger captures take one heap allocation.
+inline constexpr std::size_t kSendCallbackBytes = 48;
+
 /// Completion callback of a send: ok=true means processed by the peer.
-using SendCallback = std::function<void(bool ok)>;
+/// One-shot and move-only, so it lives inline in the pooled send record
+/// instead of behind std::function's 16-byte small buffer.
+using SendCallback = util::InplaceFunction<void(bool ok), kSendCallbackBytes>;
 
 class Network {
  public:

@@ -11,6 +11,18 @@
 
 namespace eslurm::trace {
 
+namespace {
+
+/// `prefix` followed by `n` in decimal.  Built by appending: GCC 12
+/// reports a false -Wrestrict for `"literal" + std::to_string(n)`.
+std::string tagged(const char* prefix, long long n) {
+  std::string text(prefix);
+  text += std::to_string(n);
+  return text;
+}
+
+}  // namespace
+
 std::vector<sched::Job> read_swf(std::istream& is, int cores_per_node) {
   if (cores_per_node <= 0)
     throw std::invalid_argument("read_swf: cores_per_node must be positive");
@@ -40,10 +52,10 @@ std::vector<sched::Job> read_swf(std::istream& is, int cores_per_node) {
     job.cores = static_cast<int>(procs);
     job.nodes = (job.cores + cores_per_node - 1) / cores_per_node;
     job.user_estimate = field[8] > 0 ? from_seconds(field[8]) : 0;
-    job.user = "user" + std::to_string(static_cast<long long>(field[11]));
-    job.name = "app" + std::to_string(static_cast<long long>(field[13]));
+    job.user = tagged("user", static_cast<long long>(field[11]));
+    job.name = tagged("app", static_cast<long long>(field[13]));
     const auto queue = static_cast<long long>(field[14]);
-    job.partition = queue > 0 ? "q" + std::to_string(queue) : "batch";
+    job.partition = queue > 0 ? tagged("q", queue) : "batch";
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -21,11 +21,17 @@
 //     slots that must stay referenceable while arbitrary reentrant code
 //     runs (the network dispatches a handler while the send's slot is
 //     live, and the handler may send again).
+//
+// HandlePool<T> puts generation-checked handles in front of a vector-
+// backed SlabPool, for records whose handles outlive them: the front-end
+// hands request and session handles to timers, wire bodies and callbacks
+// that may fire after the record is gone and its slot reused.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -87,6 +93,70 @@ class SlabPool {
   Store slots_;
   Index free_head_ = kNone;
   std::size_t in_use_ = 0;
+};
+
+/// Vector-backed slots addressed by 56-bit handles: the slot index in the
+/// low 24 bits, the slot's generation in the 32 above.  A slot's
+/// generation is odd while it is live and even while it is free; acquire
+/// and release each bump it.  find() is one bounds check and one compare,
+/// and a stale handle -- its record released, the slot free or reused --
+/// never matches.  A handle can only alias after its slot is reused 2^31
+/// times.  The pool holds at most 2^24 live slots.
+template <typename T>
+class HandlePool {
+ public:
+  using Handle = std::uint64_t;
+  static constexpr int kSlotBits = 24;
+  static constexpr int kHandleBits = kSlotBits + 32;
+
+  /// Returns the handle of a recycled slot (contents stale, as with
+  /// SlabPool: the caller sets every field) or of a new one.
+  Handle acquire() {
+    const auto index = slots_.acquire();
+    if (index >> kSlotBits) {
+      slots_.release(index);
+      throw std::length_error("HandlePool: more than 2^24 live slots");
+    }
+    Entry& entry = slots_[index];
+    ++entry.generation;
+    return (Handle{entry.generation} << kSlotBits) | index;
+  }
+
+  /// The live record behind `handle`; nullptr when it was released.
+  T* find(Handle handle) {
+    const auto index = static_cast<std::uint32_t>(handle & kSlotMask);
+    if (index >= slots_.capacity()) return nullptr;
+    Entry& entry = slots_[index];
+    return entry.generation == (handle >> kSlotBits) ? &entry.value : nullptr;
+  }
+
+  /// The record behind a handle the caller knows is live.
+  T& operator[](Handle handle) {
+    assert(find(handle) && "stale HandlePool handle");
+    return slots_[static_cast<std::uint32_t>(handle & kSlotMask)].value;
+  }
+
+  /// Frees a live handle's slot; the handle and every copy of it go stale.
+  void release(Handle handle) {
+    const auto index = static_cast<std::uint32_t>(handle & kSlotMask);
+    assert(find(handle) && "releasing a stale HandlePool handle");
+    ++slots_[index].generation;
+    slots_.release(index);
+  }
+
+  std::size_t in_use() const { return slots_.in_use(); }
+  /// Slots ever created: the high-water mark of in_use().
+  std::size_t capacity() const { return slots_.capacity(); }
+
+ private:
+  static constexpr Handle kSlotMask = (Handle{1} << kSlotBits) - 1;
+
+  struct Entry {
+    T value{};
+    std::uint32_t generation = 0;  ///< odd while live
+  };
+
+  SlabPool<Entry> slots_;
 };
 
 }  // namespace eslurm::util

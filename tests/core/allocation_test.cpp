@@ -13,13 +13,16 @@
 //     full dedup rings, so a transported round trip (ping, handler reply,
 //     completions) allocates nothing once its channels are warm;
 //   * policy pass: the Fair Tree walk, the live-usage rebuild and
-//     admission checks reuse their storage and report holds as enums.
+//     admission checks reuse their storage and report holds as enums;
+//   * front-end gateway: pooled request slots, one-word request bodies,
+//     ring lanes and inline response/send callbacks, across satellite
+//     cache reads and refreshes, master RPCs and shed reads.
 //
 // Under ASan/TSan the runtime owns operator new, so the hook is compiled
 // out and the tests skip (the sanitizer jobs cover memory correctness;
-// this binary covers allocation count in plain builds).  The transport
-// and policy cases still run there, as memory-correctness checks of the
-// reused storage, with a count that is trivially zero.
+// this binary covers allocation count in plain builds).  The transport,
+// policy and front-end cases still run there, as memory-correctness
+// checks of the reused storage, with a count that is trivially zero.
 
 #include <gtest/gtest.h>
 
@@ -28,9 +31,12 @@
 #include <cstdlib>
 #include <new>
 
+#include "cluster/cluster.hpp"
+#include "frontend/gateway.hpp"
 #include "net/chaos.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
+#include "rm/eslurm_rm.hpp"
 #include "sched/policy/accounts.hpp"
 #include "sim/engine.hpp"
 
@@ -289,6 +295,90 @@ TEST(ZeroAllocation, TransportSteadyStatePingPong) {
 
 TEST(ZeroAllocation, TransportSteadyStatePingPongWithChaosDuplicates) {
   transport_ping_pong_allocates_nothing(/*duplicate=*/true);
+}
+
+TEST(ZeroAllocation, FrontendRequestSteadyState) {
+  // Runs under sanitizers too, as a memory check of the recycled slots.
+  using frontend::RpcKind;
+  using frontend::RpcOutcome;
+
+  // An ESLURM deployment (master, two satellites, four login nodes) with
+  // a gateway sized so every path runs each burst: one read per
+  // satellite, a third read to the master, a fourth into the one-deep
+  // read lane or shed off it, and a submission through the mutating lane.
+  // The short cache TTL makes satellites refresh from the master often.
+  sim::Engine engine;
+  net::LinkModel link;
+  link.jitter_frac = 0.0;
+  net::Network network(engine, 7, link, Rng(1));
+  cluster::ClusterModel cluster_model(engine, 7);
+  network.set_liveness(cluster_model.liveness());
+  rm::RmDeployment deployment;
+  deployment.master = 0;
+  deployment.satellites = {1, 2};
+  deployment.compute = {3, 4, 5, 6};
+  rm::RmRuntimeConfig rm_config;
+  rm::EslurmRm manager(engine, network, cluster_model, rm::eslurm_profile(), deployment,
+                       rm_config);
+  frontend::GatewayConfig config;
+  config.master_connection_cap = 1;
+  config.read_queue_limit = 1;
+  config.satellite_connection_cap = 1;
+  config.cache_ttl = milliseconds(20);
+  frontend::Gateway gateway(engine, network, manager, config);
+
+  struct Client {
+    sim::Engine& engine;
+    frontend::Gateway& gateway;
+    std::uint64_t bursts = 0;
+    std::uint64_t served = 0;
+    std::uint64_t submitted = 0;
+    void burst() {
+      const net::NodeId source = static_cast<net::NodeId>(3 + bursts++ % 4);
+      for (const RpcKind kind : {RpcKind::QueryQueue, RpcKind::QueryNodes,
+                                 RpcKind::QueryQueue, RpcKind::JobInfo,
+                                 RpcKind::SubmitJob}) {
+        gateway.issue(kind, source, [this, kind](RpcOutcome outcome) {
+          if (outcome != RpcOutcome::Ok) return;
+          ++served;
+          if (kind == RpcKind::SubmitJob) ++submitted;
+        });
+      }
+      engine.schedule_after(milliseconds(2), [this] { burst(); });
+    }
+  };
+  Client client{engine, gateway};
+  client.burst();
+  // Warm-up: past the transport's dedup window on every response channel.
+  engine.run_until(seconds(5));
+  ASSERT_GT(gateway.served_by_satellite(), 0u);
+  ASSERT_GT(client.submitted, 0u);
+  ASSERT_GT(gateway.shed_reads(), 0u);
+  ASSERT_GT(gateway.cache_refreshes(), 0u);
+  const std::size_t warm_slots = gateway.pending_slots();
+  const std::uint64_t warm_served = client.served;
+  const std::uint64_t warm_submitted = client.submitted;
+  const std::uint64_t warm_sat = gateway.served_by_satellite();
+  const std::uint64_t warm_shed = gateway.shed_reads();
+  const std::uint64_t warm_refreshes = gateway.cache_refreshes();
+
+  std::uint64_t allocated;
+  {
+    CountingScope scope;
+    engine.run_until(seconds(10));
+    allocated = CountingScope::count();
+  }
+  EXPECT_EQ(allocated, 0u) << "a warm gateway must serve, queue, shed and refresh "
+                              "without touching the allocator";
+  EXPECT_EQ(gateway.pending_slots(), warm_slots);
+  EXPECT_EQ(engine.heap_fallback_events(), 0u);
+  // Every path kept running in the counted window.
+  EXPECT_GT(client.served, warm_served + 1000);
+  EXPECT_GT(client.submitted, warm_submitted);
+  EXPECT_GT(gateway.served_by_satellite(), warm_sat);
+  EXPECT_GT(gateway.shed_reads(), warm_shed);
+  EXPECT_GT(gateway.cache_refreshes(), warm_refreshes);
+  EXPECT_EQ(gateway.timeouts(), 0u);
 }
 
 TEST(ZeroAllocation, PolicyPassSteadyState) {

@@ -211,6 +211,20 @@ TEST(ParallelFor, GivesEachTaskItsOwnContextFoldedInTaskOrder) {
   });
 }
 
+TEST(ParallelFor, NamesLanesByTheCallersLabels) {
+  telemetry::Telemetry combined;
+  combined.enable();
+  parallel_for(
+      3, 2, &combined, [](std::size_t i) { return "cell " + std::to_string(10 * i); },
+      [](std::size_t, telemetry::Telemetry* context) {
+        context->metrics.counter("tasks").inc();
+      });
+  ASSERT_EQ(combined.lanes().size(), 3u);
+  EXPECT_EQ(combined.lanes()[0].name, "cell 0");
+  EXPECT_EQ(combined.lanes()[1].name, "cell 10");
+  EXPECT_EQ(combined.lanes()[2].name, "cell 20");
+}
+
 TEST(ParallelFor, PropagatesFirstError) {
   EXPECT_THROW(parallel_for(8, 3,
                             [](std::size_t i) {

@@ -134,6 +134,75 @@ TEST_F(FrontendFixture, MutatingLaneDrainsBeforeQueuedReads) {
   EXPECT_EQ(gateway.master_inflight(), 0);
 }
 
+TEST_F(FrontendFixture, LateResponseForARecycledSlotIsCountedNotDelivered) {
+  // A request that times out frees its slot, and the request issued from
+  // its callback reuses it.  The old request's master response lands
+  // while the new one is in flight: it must count as late and leave the
+  // new request to resolve on its own reply.
+  rm::CentralizedRm manager(engine, *net, *cluster_model, rm::slurm_profile(),
+                            deployment, rm_config);
+  GatewayConfig config;
+  config.satellite_reads = false;
+  const NodeId source = deployment.compute[0];
+
+  // Round trips on an idle gateway with the default timeout.  SubmitJob's
+  // handler runs ten times longer than JobInfo's, so its reply comes later.
+  SimTime info_rtt = 0;
+  SimTime submit_rtt = 0;
+  {
+    Gateway calibration(engine, *net, manager, config);
+    const auto round_trip = [&](RpcKind kind) {
+      const SimTime start = engine.now();
+      SimTime took = -1;
+      calibration.issue(kind, source, [&took, &engine = engine, start](RpcOutcome outcome) {
+        EXPECT_EQ(outcome, RpcOutcome::Ok);
+        took = engine.now() - start;
+      });
+      engine.run_until(start + seconds(1));
+      return took;
+    };
+    info_rtt = round_trip(RpcKind::JobInfo);
+    submit_rtt = round_trip(RpcKind::SubmitJob);
+  }
+  ASSERT_GT(info_rtt, 0);
+  ASSERT_GT(submit_rtt, info_rtt + microseconds(100));
+
+  // Times the SubmitJob out between the two round trips: its response
+  // arrives after the timeout and before the JobInfo's reply.
+  config.request_timeout = (info_rtt + submit_rtt) / 2;
+  Gateway gateway(engine, *net, manager, config);
+  struct Log {
+    std::vector<RpcOutcome> old_outcomes;
+    std::vector<RpcOutcome> new_outcomes;
+    SimTime reissued_at = -1;
+    SimTime resolved_at = -1;
+  } log;
+  const SimTime start = engine.now();
+  gateway.issue(RpcKind::SubmitJob, source, [&, source](RpcOutcome outcome) {
+    log.old_outcomes.push_back(outcome);
+    log.reissued_at = engine.now();
+    gateway.issue(RpcKind::JobInfo, source, [&log, &engine = engine](RpcOutcome o) {
+      log.new_outcomes.push_back(o);
+      log.resolved_at = engine.now();
+    });
+  });
+  engine.run_until(start + seconds(1));
+
+  ASSERT_EQ(log.old_outcomes.size(), 1u);
+  EXPECT_EQ(log.old_outcomes[0], RpcOutcome::Unavailable);
+  EXPECT_EQ(gateway.timeouts(), 1u);
+  EXPECT_EQ(log.reissued_at, start + config.request_timeout);
+  EXPECT_EQ(gateway.late_responses(), 1u);
+  ASSERT_EQ(log.new_outcomes.size(), 1u);
+  EXPECT_EQ(log.new_outcomes[0], RpcOutcome::Ok);
+  // Resolved by its own reply, one full round trip after it was issued --
+  // not early, by the old request's response.
+  EXPECT_EQ(log.resolved_at, log.reissued_at + info_rtt);
+  EXPECT_EQ(gateway.served_by_master(), 1u);
+  EXPECT_EQ(gateway.pending_count(), 0u);
+  EXPECT_EQ(gateway.master_inflight(), 0);
+}
+
 TEST_F(FrontendFixture, RetryStormAfterMassShedConverges) {
   rm::CentralizedRm manager(engine, *net, *cluster_model, rm::slurm_profile(),
                             deployment, rm_config);

@@ -69,7 +69,10 @@ TEST(JsonEscape, EscapesControlAndSpecialCharacters) {
 
 TEST(JsonEscape, RoundTripsThroughParser) {
   const std::string nasty = "he said \"no\"\n\ttab\\slash";
-  const auto doc = parse_json("\"" + json_escape(nasty) + "\"");
+  std::string quoted = "\"";
+  quoted += json_escape(nasty);
+  quoted += '"';
+  const auto doc = parse_json(quoted);
   ASSERT_TRUE(doc.has_value());
   EXPECT_EQ(doc->as_string(), nasty);
 }

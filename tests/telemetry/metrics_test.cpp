@@ -45,7 +45,7 @@ TEST(Metrics, LabelsCreateDistinctInstruments) {
 TEST(Metrics, InstrumentReferencesStayStableAcrossInsertions) {
   Registry registry;
   Counter& first = registry.counter("a");
-  for (int i = 0; i < 100; ++i) registry.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) registry.counter(std::string("c").append(std::to_string(i)));
   first.inc();
   EXPECT_DOUBLE_EQ(registry.counter("a").value(), 1.0);
 }

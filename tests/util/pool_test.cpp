@@ -63,5 +63,27 @@ TEST(SlabPool, SteadyStateChurnsWithoutNewSlots) {
   EXPECT_EQ(pool.in_use(), 0u);
 }
 
+TEST(HandlePool, StaleHandlesNeverMatchAReusedSlot) {
+  HandlePool<int> pool;
+  const auto first = pool.acquire();
+  pool[first] = 7;
+  ASSERT_NE(pool.find(first), nullptr);
+  EXPECT_EQ(*pool.find(first), 7);
+  pool.release(first);
+  EXPECT_EQ(pool.find(first), nullptr);  // free slot
+
+  const auto second = pool.acquire();  // LIFO: the same slot, new generation
+  EXPECT_EQ(second & ((1u << HandlePool<int>::kSlotBits) - 1),
+            first & ((1u << HandlePool<int>::kSlotBits) - 1));
+  EXPECT_NE(second, first);
+  EXPECT_EQ(pool.find(first), nullptr);  // reused slot
+  ASSERT_NE(pool.find(second), nullptr);
+  EXPECT_EQ(pool.capacity(), 1u);
+  EXPECT_EQ(pool.in_use(), 1u);
+  // A handle past the slab, or with no generation ever issued, is stale.
+  EXPECT_EQ(pool.find(second + 1), nullptr);
+  EXPECT_EQ(pool.find(0), nullptr);
+}
+
 }  // namespace
 }  // namespace eslurm::util
